@@ -7,7 +7,7 @@ dozen vertices; returns UNKNOWN when the node budget runs out.
 
 from __future__ import annotations
 
-from .digraph import Digraph, UNKNOWN
+from .digraph import Budget, Digraph, UNKNOWN
 from .groups import AutomorphismFamily
 
 DEFAULT_BUDGET = 200_000
@@ -40,31 +40,17 @@ def _canonical(values) -> list:
     return [ranked[s] for s in values]
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, nodes):
-        self.left = nodes
-
-    def spend(self) -> bool:
-        self.left -= 1
-        return self.left >= 0
-
-
 def find_automorphism(D: Digraph, src: int, dst: int, budget=None):
     """A digraph automorphism mapping src to dst, None if impossible,
     UNKNOWN when the backtracking budget is exhausted."""
     colors = refine_colors(D)
     if colors[src] != colors[dst]:
         return None
-    tracker = _Budget(DEFAULT_BUDGET if budget is None else budget)
-    res = _search(D, colors, src, dst, tracker)
-    if res is UNKNOWN:
-        return UNKNOWN
-    return res
+    spent = Budget(DEFAULT_BUDGET if budget is None else budget)
+    return _search(D, colors, src, dst, spent)
 
 
-def _search(D, colors, src, dst, tracker):
+def _search(D, colors, src, dst, spent):
     n = D.n
     order = sorted(range(n), key=lambda v: (v != src, colors.count(colors[v]), v))
     image = [-1] * n
@@ -82,30 +68,34 @@ def _search(D, colors, src, dst, tracker):
                 return False
         return True
 
-    def backtrack(pos):
-        if pos == n:
-            return list(image)
-        v = order[pos]
-        candidates = [dst] if v == src else [
-            w for w in range(n)
-            if not used[w] and colors[w] == colors[v]
-        ]
-        for w in candidates:
-            if used[w]:
-                continue
-            if not tracker.spend():
+    def candidates(v):
+        return iter([w for w in range(n)
+                     if not used[w] and colors[w] == colors[v]])
+
+    # frames[pos] iterates the candidate images of order[pos]; order[0] is
+    # src.  A frame resumes only after its last choice was undone, so its
+    # candidates are still unused.
+    frames = [iter([dst])]
+    while frames:
+        v = order[len(frames) - 1]
+        for w in frames[-1]:
+            if not spent.spend():
                 return UNKNOWN
             if consistent(v, w):
                 image[v] = w
                 used[w] = True
-                res = backtrack(pos + 1)
-                if res is UNKNOWN or res is not None:
-                    return res
-                image[v] = -1
-                used[w] = False
-        return None
-
-    return backtrack(0)
+                break
+        else:
+            frames.pop()
+            if frames:  # undo the parent's current choice
+                u = order[len(frames) - 1]
+                used[image[u]] = False
+                image[u] = -1
+            continue
+        if len(frames) == n:
+            return list(image)
+        frames.append(candidates(order[len(frames)]))
+    return None
 
 
 def orbit_of(n: int, generators, start: int) -> set:
@@ -134,13 +124,13 @@ def is_vertex_transitive(D: Digraph, budget=None):
     colors = refine_colors(D)
     if len(set(colors)) > 1:
         return False
-    tracker = _Budget(DEFAULT_BUDGET if budget is None else budget)
+    spent = Budget(DEFAULT_BUDGET if budget is None else budget)
     generators = []
     orbit = {0}
     for u in range(1, D.n):
         if u in orbit:
             continue
-        res = _search(D, list(colors), 0, u, tracker)
+        res = _search(D, list(colors), 0, u, spent)
         if res is UNKNOWN:
             return UNKNOWN
         if res is None:
@@ -159,10 +149,10 @@ def automorphism_family_by_search(D: Digraph, budget=None):
     colors = refine_colors(D)
     if len(set(colors)) > 1:
         return None
-    tracker = _Budget(DEFAULT_BUDGET if budget is None else budget)
+    spent = Budget(DEFAULT_BUDGET if budget is None else budget)
     perms = [tuple(range(D.n))]
     for u in range(1, D.n):
-        res = _search(D, list(colors), 0, u, tracker)
+        res = _search(D, list(colors), 0, u, spent)
         if res is UNKNOWN:
             return UNKNOWN
         if res is None:

@@ -27,6 +27,7 @@ from .cyclegraph import cycle_graph_diameter_check, pipeline_n13
 from .numbergap import (motohashi_pairs, perimeter_gap_table,
                         search_prime_partitionable)
 from .reports import all_assertions_hold, dumps, make_report, write_csv
+from . import verify as V
 
 log = logging.getLogger("vtc")
 
@@ -86,14 +87,10 @@ def build_parser():
     _add_common(a)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("suite", choices=["trotter-erdos", "divisibility", "figure1",
-                                     "lemma21", "lemma24", "theorem25",
-                                     "lemma27", "toroidal"])
+    v.add_argument("suite", choices=list(V.SUITES))
     v.add_argument("--max-order", type=int, default=24)
     v.add_argument("--max-k", type=int, default=4)
     v.add_argument("--max-n", type=int, default=2)
-    v.add_argument("--corpus", default="small-cayley",
-                   choices=["small-cayley"])
     _add_common(v)
 
     s = sub.add_parser("search", help="arithmetic searches")
@@ -244,8 +241,6 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
 # --- verify ------------------------------------------------------------------
 
 def cmd_verify(args, cfg: RunConfig) -> int:
-    from . import verify as V
-
     if args.suite == "trotter-erdos":
         result = V.suite_trotter_erdos(args.max_order)
     elif args.suite == "divisibility":

@@ -14,11 +14,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .digraph import (Digraph, DirectedCycle, Graph, INF, canonical_rotation,
-                      directed_cycle)
+from .digraph import (Budget, Digraph, DirectedCycle, Graph, INF,
+                      canonical_rotation, directed_cycle, iter_bits)
 from .groups import AutomorphismFamily
 from .longcycle import dfs_long_cycle
-from .oracles import brute_longest_induced_cycle
+from .oracles import brute_longest_induced_cycle, simple_paths
 
 DEFAULT_MAX_COUNT = 10 ** 6
 UNBOUNDED_N_MAX = 20
@@ -37,9 +37,9 @@ def enumerate_directed_cycles(D: Digraph, max_len=None, max_count=None):
 
     Unbounded enumeration (both caps None) is allowed only for n <= 20.
     Uses the blocked-set circuit enumeration rooted at each vertex in
-    ascending order when no length bound is given, and a plain bounded DFS
-    otherwise (blocking is unsound under length cutoffs).  Returns
-    (cycles, truncated).
+    ascending order when no length bound is given, and a plain bounded walk
+    over ``simple_paths`` otherwise (blocking is unsound under length
+    cutoffs).  Both are iterative.  Returns (cycles, truncated).
     """
     n = D.n
     if max_len is None and max_count is None and n > UNBOUNDED_N_MAX:
@@ -49,25 +49,28 @@ def enumerate_directed_cycles(D: Digraph, max_len=None, max_count=None):
     count_cap = DEFAULT_MAX_COUNT if max_count is None else max_count
     len_cap = n if max_len is None else min(max_len, n)
 
-    cycles = []
-    truncated = False
-
-    def emit(vertices) -> bool:
-        nonlocal truncated
-        if len(cycles) >= count_cap:
-            truncated = True
-            return False
-        cycles.append(DirectedCycle(canonical_rotation(tuple(vertices))))
-        return True
-
     if len_cap >= n:
-        _johnson(D, emit)
+        found = _johnson(D)
     else:
-        _bounded_dfs(D, len_cap, emit)
-    return cycles, truncated
+        found = (path for root in range(n)
+                 for path in simple_paths(D, root, Budget(), above=root,
+                                          max_len=len_cap)
+                 if len(path) >= 2 and D.has_arc(path[-1], root))
+    # Both searches start each cycle at its root, its minimum vertex, so
+    # every path found is already in canonical rotation.
+    cycles = []
+    for path in found:
+        if len(cycles) >= count_cap:
+            return cycles, True
+        cycles.append(DirectedCycle(tuple(path)))
+    return cycles, False
 
 
-def _johnson(D: Digraph, emit) -> None:
+def _johnson(D: Digraph):
+    """Johnson's circuit enumeration with an explicit stack: ``frames[i]``
+    iterates the out-neighbors of ``path[i]``.  Yields each circuit as the
+    live path.  A vertex whose subtree closed a circuit is unblocked on the
+    way back, any other one waits on the B-lists of its out-neighbors."""
     n = D.n
     for root in range(n):
         scc = _scc_of(D, root)
@@ -76,42 +79,47 @@ def _johnson(D: Digraph, emit) -> None:
             continue
         blocked = {v: False for v in scc}
         blist = {v: set() for v in scc}
-        stack = []
-        stop = False
-
-        def unblock(v):
-            blocked[v] = False
-            while blist[v]:
-                w = blist[v].pop()
-                if blocked[w]:
-                    unblock(w)
-
-        def circuit(v) -> bool:
-            nonlocal stop
-            found = False
-            stack.append(v)
-            blocked[v] = True
-            for w in adj[v]:
-                if stop:
-                    break
+        path = [root]
+        frames = [iter(adj[root])]
+        blocked[root] = True
+        # path[:closed] holds the vertices under which a circuit closed
+        # since they were entered: a circuit closing at depth d marks
+        # all of path[:d]
+        closed = 0
+        while frames:
+            for w in frames[-1]:
                 if w == root:
-                    if len(stack) >= 2 and not emit(stack):
-                        stop = True
-                    found = True
+                    yield path
+                    closed = len(path)
                 elif not blocked[w]:
-                    if circuit(w):
-                        found = True
-            if found:
-                unblock(v)
+                    path.append(w)
+                    frames.append(iter(adj[w]))
+                    blocked[w] = True
+                    break
             else:
-                for w in adj[v]:
-                    blist[w].add(v)
-            stack.pop()
-            return found
+                frames.pop()
+                v = path.pop()
+                if closed > len(path):
+                    closed = len(path)
+                    _unblock(v, blocked, blist)
+                else:
+                    for w in adj[v]:
+                        blist[w].add(v)
 
-        circuit(root)
-        if stop:
-            return
+
+def _unblock(v, blocked, blist) -> None:
+    """Unblock v and, transitively, every blocked vertex on its B-lists."""
+    blocked[v] = False
+    if not blist[v]:
+        return
+    todo = [v]
+    while todo:
+        u = todo.pop()
+        for w in blist[u]:
+            if blocked[w]:
+                blocked[w] = False
+                todo.append(w)
+        blist[u].clear()
 
 
 def _scc_of(D: Digraph, root: int) -> frozenset:
@@ -128,29 +136,6 @@ def _scc_of(D: Digraph, root: int) -> frozenset:
         return seen
 
     return frozenset(reach(D.out) & reach(D.inn))
-
-
-def _bounded_dfs(D: Digraph, len_cap: int, emit) -> None:
-    n = D.n
-    stop = False
-
-    def dfs(root, v, visited, path):
-        nonlocal stop
-        for w in D.out[v]:
-            if stop:
-                return
-            if w == root and len(path) >= 2:
-                if not emit(path):
-                    stop = True
-            elif w > root and not (visited >> w) & 1 and len(path) < len_cap:
-                path.append(w)
-                dfs(root, w, visited | (1 << w), path)
-                path.pop()
-
-    for root in range(n):
-        if stop:
-            return
-        dfs(root, root, 1 << root, [root])
 
 
 # --- the intersection graph -------------------------------------------------
@@ -199,10 +184,8 @@ def build_cycle_graph(D: Digraph, cycles, truncated=False,
         for v in c.vertices:
             neigh |= vert_mask[v]
         neigh &= ~((1 << (i + 1)) - 1)  # keep j > i
-        while neigh:
-            low = neigh & (-neigh)
-            neigh ^= low
-            edges.append((i, low.bit_length() - 1))
+        for j in iter_bits(neigh):
+            edges.append((i, j))
     graph = Graph(k, edges)
 
     rng = random.Random(0)
@@ -449,9 +432,10 @@ def induced_cycle_via_symmetry(G: Graph, fam: AutomorphismFamily,
     extensions) the exact induced-cycle oracle takes over and the failed
     step is reported.  Returns (vertex tuple, report dict).
     """
-    if not G.is_connected():
+    S = G.diameter_path()
+    if S is None:
         raise ValueError("graph must be connected")
-    d = G.diameter()
+    d = len(S) - 1
     if d < DIAMETER_FLOOR:
         raise ValueError(f"diameter {d} below the {DIAMETER_FLOOR} floor")
     if not is_nearly_transitive(G, fam):
@@ -459,7 +443,7 @@ def induced_cycle_via_symmetry(G: Graph, fam: AutomorphismFamily,
 
     report = {"diameter": d, "target": d - INDUCED_SLACK, "mode": "construction"}
     try:
-        cycle, deco = _symmetry_construction(G, fam, d, path_budget)
+        cycle, deco = _symmetry_construction(G, fam, tuple(S), path_budget)
         report["steps_ok"] = True
         report["decomposition"] = deco
     except _StepFailure as fail:
@@ -488,8 +472,9 @@ def _assert_induced_cycle(G: Graph, cycle) -> None:
                 f"induced-cycle violation between {cycle[i]} and {cycle[j]}"
 
 
-def _symmetry_construction(G: Graph, fam: AutomorphismFamily, d: int,
+def _symmetry_construction(G: Graph, fam: AutomorphismFamily, S: tuple,
                            path_budget: int):
+    """S is the geodesic between the lexicographically first diametral pair."""
     dist_memo: dict = {}
 
     def dist_from(s):
@@ -497,18 +482,8 @@ def _symmetry_construction(G: Graph, fam: AutomorphismFamily, d: int,
             dist_memo[s] = G.bfs_distances(s)
         return dist_memo[s]
 
-    # diametral geodesic S between the lexicographically first pair (v, u)
-    pair = None
-    for v in range(G.n):
-        dv = dist_from(v)
-        for u in range(G.n):
-            if dv[u] == d:
-                pair = (v, u)
-                break
-        if pair:
-            break
-    v0, u0 = pair
-    S = tuple(G.shortest_path(v0, u0))
+    d = len(S) - 1
+    v0, u0 = S[0], S[-1]
     mid = d // 2
     m = S[mid]
     L = S[:mid + 1]
@@ -671,6 +646,10 @@ def _qualifies(G: Graph, path, q) -> bool:
         for j in range(i + 1, len(path)):
             if G.has_edge(a, path[j]) != (j == i + 1):
                 return False
+    return _tail_is_geodesic(G, path, q)
+
+
+def _tail_is_geodesic(G: Graph, path, q) -> bool:
     tail = path[-q:]
     return G.bfs_distances(tail[0])[tail[-1]] == q - 1
 
@@ -685,37 +664,37 @@ def _longest_induced_path_with_geodesic_tail(G: Graph, q: int, seed,
     """
     assert _qualifies(G, list(seed), q), "seed path must qualify"
     best = list(seed)
-    spent = 0
-    cap = None if (G.n <= 18 and budget is None) else (budget or 200_000)
+    spent = Budget(None if (G.n <= 18 and budget is None)
+                   else (budget or 200_000))
     adj_sets = [set(G.adj[v]) for v in range(G.n)]
 
-    def dfs(path, pset, blocked):
-        nonlocal best, spent
-        spent += 1
-        if cap is not None and spent > cap:
-            return False
-        if len(path) > len(best) and len(path) >= q and _tail_geodesic(path):
-            best = list(path)
-        tip = path[-1]
-        for w in G.adj[tip]:
-            if w in pset or w in blocked:
-                continue
-            nb = blocked | (adj_sets[tip] - {w})
+    for start in range(G.n):
+        # frames[i]: (neighbors of path[i] left to try, vertices blocked by
+        # the interior of path[:i + 1])
+        path, pset, frames = [], set(), []
+        w, blocked = start, set()
+        while spent.spend():
             path.append(w)
             pset.add(w)
-            alive = dfs(path, pset, nb)
-            path.pop()
-            pset.remove(w)
-            if not alive:
-                return False
-        return True
-
-    def _tail_geodesic(path):
-        tail = path[-q:]
-        return G.bfs_distances(tail[0])[tail[-1]] == q - 1
-
-    for start in range(G.n):
-        if not dfs([start], {start}, set()):
+            if (len(path) > len(best) and len(path) >= q
+                    and _tail_is_geodesic(G, path, q)):
+                best = list(path)
+            frames.append((iter(G.adj[w]), blocked))
+            # advance to the next extension, backtracking as frames run out
+            w = None
+            while frames and w is None:
+                neighbors, blocked = frames[-1]
+                for x in neighbors:
+                    if x not in pset and x not in blocked:
+                        w = x
+                        blocked = blocked | (adj_sets[path[-1]] - {x})
+                        break
+                else:
+                    frames.pop()
+                    pset.remove(path.pop())
+            if w is None:
+                break
+        if spent.exhausted:
             break
     return best
 

@@ -5,7 +5,8 @@ consumes the two carrier types defined here.  Instances never mutate after
 construction, so they can be shared freely; every query is a pure function of
 its arguments.  Vertex sets are plain ``frozenset`` objects, distances use
 ``INF`` for unreachable pairs, and undecided search verdicts use the
-``UNKNOWN`` singleton rather than ``None``.
+``UNKNOWN`` singleton rather than ``None``.  Exhaustive searches count their
+nodes against a ``Budget``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,91 @@ class Unknown:
 
 
 UNKNOWN = Unknown()
+
+
+class Budget:
+    """Node budget shared by the steps of an exhaustive search.
+
+    ``cap`` None means unbounded.  Each ``spend`` charges one node and says
+    whether it stayed within the cap; the search stops at the first refused
+    node, so an exhausted budget reads ``used == cap + 1``.
+    """
+
+    __slots__ = ("used", "cap")
+
+    def __init__(self, cap=None):
+        self.used = 0
+        self.cap = cap
+
+    def spend(self) -> bool:
+        self.used += 1
+        return self.cap is None or self.used <= self.cap
+
+    @property
+    def exhausted(self) -> bool:
+        return self.cap is not None and self.used > self.cap
+
+
+def iter_bits(mask: int):
+    """Indices of the set bits of ``mask``, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+# --- breadth-first search over an adjacency tuple ---------------------------
+
+def _bfs(adj, sources):
+    """Distances from the nearest of ``sources`` (INF where unreachable) and
+    BFS parents (-1 at sources and unreached vertices).  Sources are queued
+    in the given order and each vertex keeps the first parent that reaches
+    it, scanning sorted adjacency, so routes are deterministic."""
+    dist = [INF] * len(adj)
+    parent = [-1] * len(adj)
+    q = deque()
+    for s in sources:
+        if not (0 <= s < len(adj)):
+            raise ValueError(f"source {s} out of range")
+        dist[s] = 0
+        q.append(s)
+    while q:
+        v = q.popleft()
+        for w in adj[v]:
+            if dist[w] == INF:
+                dist[w] = dist[v] + 1
+                parent[w] = v
+                q.append(w)
+    return dist, parent
+
+
+def shortest_route(adj, sources, target: int):
+    """A shortest path from any of ``sources`` to ``target`` over the
+    adjacency tuple ``adj``, as a vertex list; None if unreachable.  Ties
+    break as in ``_bfs``."""
+    dist, parent = _bfs(adj, sources)
+    if dist[target] == INF:
+        return None
+    path = [target]
+    while parent[path[-1]] != -1:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+def _diameter(n: int, bfs_distances):
+    """(max pairwise distance, first source/target pair attaining it) over
+    the ``bfs_distances`` rows of all n sources.  (INF, None) as soon as one
+    pair is unreachable; (0, None) when n == 0."""
+    best, pair = 0, None
+    for s in range(n):
+        row = bfs_distances(s)
+        far = max(row)
+        if far == INF:
+            return INF, None
+        if far > best or pair is None:
+            best, pair = far, (s, row.index(far))
+    return best, pair
 
 
 class Digraph:
@@ -118,19 +204,7 @@ class Digraph:
 
     def bfs_distances(self, source: int, reverse: bool = False) -> list:
         """Exact directed distances from ``source``; INF where unreachable."""
-        if not (0 <= source < self.n):
-            raise ValueError(f"source {source} out of range")
-        adj = self.inn if reverse else self.out
-        dist = [INF] * self.n
-        dist[source] = 0
-        q = deque([source])
-        while q:
-            v = q.popleft()
-            for w in adj[v]:
-                if dist[w] == INF:
-                    dist[w] = dist[v] + 1
-                    q.append(w)
-        return dist
+        return _bfs(self.inn if reverse else self.out, (source,))[0]
 
     def shortest_path(self, source: int, target: int):
         """A shortest directed path as a vertex list, or None.
@@ -138,56 +212,17 @@ class Digraph:
         Parent choice prefers the lowest vertex id, so the result is
         deterministic.
         """
-        if source == target:
-            return [source]
-        dist = [INF] * self.n
-        parent = [-1] * self.n
-        dist[source] = 0
-        q = deque([source])
-        while q:
-            v = q.popleft()
-            for w in self.out[v]:
-                if dist[w] == INF:
-                    dist[w] = dist[v] + 1
-                    parent[w] = v
-                    q.append(w)
-        if dist[target] == INF:
-            return None
-        path = [target]
-        while path[-1] != source:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
+        return shortest_route(self.out, (source,), target)
 
     def directed_diameter(self):
         """Max pairwise directed distance; INF iff not strongly connected."""
-        if self.n == 0:
-            return 0
-        best = 0
-        for s in range(self.n):
-            for d in self.bfs_distances(s):
-                if d == INF:
-                    return INF
-                if d > best:
-                    best = d
-        return best
+        return _diameter(self.n, self.bfs_distances)[0]
 
     def diameter_path(self):
         """A shortest path realizing the directed diameter (lexicographically
         first source/target pair), or None when not strongly connected."""
-        best = -1
-        pair = None
-        for s in range(self.n):
-            dist = self.bfs_distances(s)
-            for t in range(self.n):
-                if dist[t] == INF:
-                    return None
-                if dist[t] > best:
-                    best = dist[t]
-                    pair = (s, t)
-        if pair is None:
-            return None
-        return self.shortest_path(*pair)
+        pair = _diameter(self.n, self.bfs_distances)[1]
+        return None if pair is None else self.shortest_path(*pair)
 
     def is_strongly_connected(self) -> bool:
         if self.n <= 1:
@@ -274,16 +309,7 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
     def bfs_distances(self, source: int) -> list:
-        dist = [INF] * self.n
-        dist[source] = 0
-        q = deque([source])
-        while q:
-            v = q.popleft()
-            for w in self.adj[v]:
-                if dist[w] == INF:
-                    dist[w] = dist[v] + 1
-                    q.append(w)
-        return dist
+        return _bfs(self.adj, (source,))[0]
 
     def is_connected(self) -> bool:
         if self.n <= 1:
@@ -291,38 +317,16 @@ class Graph:
         return INF not in self.bfs_distances(0)
 
     def diameter(self):
-        if self.n == 0:
-            return 0
-        best = 0
-        for s in range(self.n):
-            for d in self.bfs_distances(s):
-                if d == INF:
-                    return INF
-                if d > best:
-                    best = d
-        return best
+        return _diameter(self.n, self.bfs_distances)[0]
 
     def shortest_path(self, source: int, target: int):
-        if source == target:
-            return [source]
-        dist = [INF] * self.n
-        parent = [-1] * self.n
-        dist[source] = 0
-        q = deque([source])
-        while q:
-            v = q.popleft()
-            for w in self.adj[v]:
-                if dist[w] == INF:
-                    dist[w] = dist[v] + 1
-                    parent[w] = v
-                    q.append(w)
-        if dist[target] == INF:
-            return None
-        path = [target]
-        while path[-1] != source:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
+        return shortest_route(self.adj, (source,), target)
+
+    def diameter_path(self):
+        """A shortest path realizing the diameter (lexicographically first
+        source/target pair), or None when disconnected or empty."""
+        pair = _diameter(self.n, self.bfs_distances)[1]
+        return None if pair is None else self.shortest_path(*pair)
 
 
 @dataclass(frozen=True)

@@ -106,7 +106,10 @@ def group_from_table(raw, name: str = "group") -> GroupTable:
 def cyclic_group(n: int) -> GroupTable:
     if n < 1:
         raise ValueError("cyclic group order must be at least 1")
-    mult = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+    # Row a is the rotation of 0..n-1 by a, so the n^2 entries share n int
+    # objects instead of allocating one per entry.
+    elems = tuple(range(n))
+    mult = tuple(elems[a:] + elems[:a] for a in range(n))
     inverse = tuple((-a) % n for a in range(n))
     return GroupTable(n, mult, 0, inverse, f"Z{n}")
 

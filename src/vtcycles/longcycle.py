@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .digraph import Digraph, DirectedCycle, DirectedPath, directed_cycle, directed_path
+from .digraph import (Digraph, DirectedCycle, DirectedPath, directed_cycle,
+                      directed_path, iter_bits, shortest_route)
 
 EXPANSION_EXACT_MAX = 20
 
@@ -65,19 +66,10 @@ def expansion_exact(D: Digraph) -> ExpansionReport:
         if best_num is None or boundary * best_den < best_num * k:
             best_num, best_den, best_mask = boundary, k, mask
         elif boundary * best_den == best_num * k:
-            if _mask_vertices(mask) < _mask_vertices(best_mask):
+            if tuple(iter_bits(mask)) < tuple(iter_bits(best_mask)):
                 best_mask = mask
     return ExpansionReport(Fraction(best_num, best_den),
-                           frozenset(_mask_vertices(best_mask)), True)
-
-
-def _mask_vertices(mask: int) -> tuple:
-    out = []
-    while mask:
-        low = mask & (-mask)
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+                           frozenset(iter_bits(best_mask)), True)
 
 
 def expansion_sampled(D: Digraph, samples: int = 10_000, seed: int = 0) -> ExpansionReport:
@@ -129,11 +121,8 @@ def _reachable_mask(out_masks, start_mask, allowed_mask) -> int:
     frontier = start_mask
     while frontier:
         nxt = 0
-        rest = frontier
-        while rest:
-            low = rest & (-rest)
-            rest ^= low
-            nxt |= out_masks[low.bit_length() - 1]
+        for v in iter_bits(frontier):
+            nxt |= out_masks[v]
         nxt &= allowed_mask & ~seen
         seen |= nxt
         frontier = nxt
@@ -217,19 +206,19 @@ def dfs_long_cycle(D: Digraph, alpha: Fraction = None) -> CycleSearchResult:
 
     # all external out-neighbors of U are on the path
     out_of_union = 0
-    rest = union
-    while rest:
-        low = rest & (-rest)
-        rest ^= low
-        out_of_union |= out_masks[low.bit_length() - 1]
+    for v in iter_bits(union):
+        out_of_union |= out_masks[v]
     out_of_union &= ~union
     assert out_of_union & ~path_mask == 0, "U has an out-neighbor off the path"
 
     j = next(i for i, pv in enumerate(path) if (out_of_union >> pv) & 1)
     target = path[j]
-    landing = min(u for u in _mask_vertices(union) if D.has_arc(u, target))
+    landing = min(u for u in iter_bits(union) if D.has_arc(u, target))
     # multi-source shortest route from S to the landing vertex inside U
-    hop = _shortest_route_in_mask(D, S, landing, union)
+    inside_union = tuple(tuple(w for w in row if (union >> w) & 1)
+                         for row in D.out)
+    hop = shortest_route(inside_union, sorted(S), landing)
+    assert hop is not None, "landing vertex unreachable from S inside U"
     cycle_vertices = path[j:] + hop
     trace.append({
         "stop_vertex": t_vertex,
@@ -245,31 +234,6 @@ def dfs_long_cycle(D: Digraph, alpha: Fraction = None) -> CycleSearchResult:
         assert cycle.length >= guarantee, (
             f"cycle length {cycle.length} below guarantee {guarantee}")
     return CycleSearchResult(cycle, guarantee, tuple(trace))
-
-
-def _shortest_route_in_mask(D: Digraph, sources, target: int, allowed_mask: int) -> list:
-    """Shortest path from any source to target staying inside the mask;
-    BFS with lowest-id tie-breaking."""
-    from collections import deque
-
-    parent = {}
-    q = deque()
-    for s in sorted(sources):
-        parent[s] = None
-        q.append(s)
-    while q:
-        v = q.popleft()
-        if v == target:
-            route = [v]
-            while parent[route[-1]] is not None:
-                route.append(parent[route[-1]])
-            route.reverse()
-            return route
-        for w in D.out[v]:
-            if (allowed_mask >> w) & 1 and w not in parent:
-                parent[w] = v
-                q.append(w)
-    raise AssertionError("landing vertex unreachable from S inside U")
 
 
 def long_path(D: Digraph, certified_transitive: bool = False,

@@ -7,14 +7,19 @@ is validated against, so they favor correctness and determinism over speed:
 budgets are node-expansion counts (never wall clock), ties break toward the
 lowest vertex id, and an exhausted budget is reported as UNKNOWN rather than
 silently returning the best found.
+
+Every exhaustive search here is iterative, and each backtracking search
+charges one shared node ``Budget``, so a deep input runs into its cap, never
+into the interpreter's recursion limit.  The simple-path searches all walk
+``simple_paths``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import (Digraph, DirectedCycle, Graph, UNKNOWN, directed_cycle,
-                      directed_path)
+from .digraph import (Budget, Digraph, DirectedCycle, Graph, UNKNOWN,
+                      directed_cycle, directed_path, iter_bits)
 
 HAM_DP_MAX = 24           # bitmask DP cap
 HAM_BACKTRACK_MAX = 40    # budgeted backtracking cap
@@ -35,16 +40,41 @@ class SearchResult:
     expansions: int
 
 
-class _Counter:
-    __slots__ = ("used", "cap")
+def simple_paths(D: Digraph, start: int, budget: Budget, above: int = -1,
+                 max_len=None):
+    """Simple directed paths from ``start``, in depth-first preorder.
 
-    def __init__(self, cap):
-        self.used = 0
-        self.cap = cap
-
-    def spend(self) -> bool:
-        self.used += 1
-        return self.cap is None or self.used <= self.cap
+    Out-neighbors are taken in sorted order, and only those greater than
+    ``above``; a path of ``max_len`` vertices is not extended.  Entering a
+    path, ``[start]`` included, spends one node of ``budget``, and the walk
+    ends at the first refused node, leaving ``budget.exhausted`` set.  The
+    yielded list is the live path: copy it to keep it.
+    """
+    out = D.out
+    path = []
+    visited = 0
+    frames = []  # frames[i] iterates the out-neighbors of path[i]
+    w = start
+    while budget.spend():
+        path.append(w)
+        visited |= 1 << w
+        yield path
+        if max_len is None or len(path) < max_len:
+            frames.append(iter(out[w]))
+        else:
+            visited ^= 1 << path.pop()
+        # advance to the next fresh neighbor, backtracking as frames run out
+        w = None
+        while frames and w is None:
+            for x in frames[-1]:
+                if x > above and not (visited >> x) & 1:
+                    w = x
+                    break
+            else:
+                frames.pop()
+                visited ^= 1 << path.pop()
+        if w is None:
+            return
 
 
 # --- Hamiltonicity --------------------------------------------------------
@@ -63,9 +93,13 @@ def brute_hamiltonian(D: Digraph, budget=None):
         return None
     if n <= HAM_DP_MAX:
         return _hamiltonian_dp(D)
-    if n <= HAM_BACKTRACK_MAX:
-        return _hamiltonian_backtrack(D, budget)
-    raise ValueError(f"n={n} beyond the Hamiltonicity oracle caps")
+    if n > HAM_BACKTRACK_MAX:
+        raise ValueError(f"n={n} beyond the Hamiltonicity oracle caps")
+    spent = Budget(budget)
+    for path in simple_paths(D, 0, spent):
+        if len(path) == n and D.has_arc(path[-1], 0):
+            return directed_cycle(D, path)
+    return UNKNOWN if spent.exhausted else None
 
 
 def _hamiltonian_dp(D: Digraph):
@@ -79,6 +113,8 @@ def _hamiltonian_dp(D: Digraph):
     states = 1
     for _ in range(n - 1):
         nxt = {}
+        # Inline bit loops rather than iter_bits: this is the DP's hot path,
+        # where a generator per state costs more than the state's own work.
         for mask, lasts in layer.items():
             rest = lasts
             while rest:
@@ -89,7 +125,6 @@ def _hamiltonian_dp(D: Digraph):
                 while fresh:
                     wb = fresh & (-fresh)
                     fresh ^= wb
-                    w = wb.bit_length() - 1
                     m2 = mask | wb
                     nxt[m2] = nxt.get(m2, 0) | wb
         states += len(nxt)
@@ -105,58 +140,19 @@ def _hamiltonian_dp(D: Digraph):
     if not closers:
         return None
     # walk back through the layers, lowest-id choices first
-    last = (closers & (-closers)).bit_length() - 1
-    seq = [last]
+    seq = [next(iter_bits(closers))]
     mask = full
     for k in range(n - 1, 0, -1):
         prev_mask = mask & ~(1 << seq[-1])
         prevs = layers[k - 1].get(prev_mask, 0)
-        cand = prevs
-        chosen = None
-        while cand:
-            lowbit = cand & (-cand)
-            cand ^= lowbit
-            p = lowbit.bit_length() - 1
-            if D.has_arc(p, seq[-1]):
-                chosen = p
-                break
+        chosen = next((p for p in iter_bits(prevs) if D.has_arc(p, seq[-1])),
+                      None)
         assert chosen is not None
         seq.append(chosen)
         mask = prev_mask
     seq.reverse()
     assert seq[0] == 0
     return directed_cycle(D, seq)
-
-
-def _hamiltonian_backtrack(D: Digraph, budget):
-    n = D.n
-    counter = _Counter(budget)
-    out = D.out
-    found = []
-
-    def dfs(v, visited, path):
-        if not counter.spend():
-            return UNKNOWN
-        if len(path) == n:
-            if D.has_arc(v, 0):
-                found.append(list(path))
-                return True
-            return False
-        for w in out[v]:
-            if not (visited >> w) & 1:
-                path.append(w)
-                res = dfs(w, visited | (1 << w), path)
-                if res is UNKNOWN or res is True:
-                    return res
-                path.pop()
-        return False
-
-    res = dfs(0, 1, [0])
-    if res is UNKNOWN:
-        return UNKNOWN
-    if res:
-        return directed_cycle(D, found[0])
-    return None
 
 
 # --- longest cycle / path -------------------------------------------------
@@ -170,34 +166,17 @@ def brute_longest_cycle(D: Digraph, budget=None) -> SearchResult:
     n = D.n
     if budget is None and n > EXACT_DEFAULT_MAX:
         raise ValueError(f"n={n} needs an explicit budget")
-    counter = _Counter(budget)
-    out = D.out
+    spent = Budget(budget)
     best = []
-    exact = True
-
-    def dfs(root, v, visited, path):
-        nonlocal exact
-        if not counter.spend():
-            exact = False
-            return False
-        alive = True
-        for w in out[v]:
-            if w == root and len(path) >= 2 and len(path) > len(best):
-                best[:] = path
-            elif w > root and not (visited >> w) & 1:
-                path.append(w)
-                if not dfs(root, w, visited | (1 << w), path):
-                    alive = False
-                path.pop()
-                if not alive:
-                    return False
-        return alive
-
     for root in range(n):
-        if not dfs(root, root, 1 << root, [root]):
+        for path in simple_paths(D, root, spent, above=root):
+            if (len(path) >= 2 and len(path) > len(best)
+                    and D.has_arc(path[-1], root)):
+                best = list(path)
+        if spent.exhausted:
             break
     cycle = directed_cycle(D, best) if best else None
-    return SearchResult(cycle, exact, counter.used)
+    return SearchResult(cycle, not spent.exhausted, spent.used)
 
 
 def brute_longest_path(D: Digraph, budget=None) -> SearchResult:
@@ -205,34 +184,16 @@ def brute_longest_path(D: Digraph, budget=None) -> SearchResult:
     n = D.n
     if budget is None and n > EXACT_DEFAULT_MAX:
         raise ValueError(f"n={n} needs an explicit budget")
-    counter = _Counter(budget)
-    out = D.out
+    spent = Budget(budget)
     best = []
-    exact = True
-
-    def dfs(v, visited, path):
-        nonlocal exact
-        if not counter.spend():
-            exact = False
-            return False
-        if len(path) > len(best):
-            best[:] = path
-        alive = True
-        for w in out[v]:
-            if not (visited >> w) & 1:
-                path.append(w)
-                if not dfs(w, visited | (1 << w), path):
-                    alive = False
-                path.pop()
-                if not alive:
-                    return False
-        return alive
-
     for s in range(n):
-        if not dfs(s, 1 << s, [s]):
+        for path in simple_paths(D, s, spent):
+            if len(path) > len(best):
+                best = list(path)
+        if spent.exhausted:
             break
     path = directed_path(D, best) if best else None
-    return SearchResult(path, exact, counter.used)
+    return SearchResult(path, not spent.exhausted, spent.used)
 
 
 def find_path_of_length(D: Digraph, target: int, budget=None):
@@ -241,31 +202,13 @@ def find_path_of_length(D: Digraph, target: int, budget=None):
     Early-exit existence search; used by gadget post-verification where the
     claim is a lower bound, not an optimum.
     """
-    counter = _Counter(budget)
-    out = D.out
-    hit = []
-
-    def dfs(v, visited, path):
-        if not counter.spend():
-            return UNKNOWN
-        if len(path) - 1 >= target:
-            hit.append(list(path))
-            return True
-        for w in out[v]:
-            if not (visited >> w) & 1:
-                path.append(w)
-                res = dfs(w, visited | (1 << w), path)
-                if res is UNKNOWN or res is True:
-                    return res
-                path.pop()
-        return False
-
+    spent = Budget(budget)
     for s in range(D.n):
-        res = dfs(s, 1 << s, [s])
-        if res is UNKNOWN:
+        for path in simple_paths(D, s, spent):
+            if len(path) - 1 >= target:
+                return directed_path(D, path)
+        if spent.exhausted:
             return UNKNOWN
-        if res:
-            return directed_path(D, hit[0])
     return None
 
 
@@ -278,54 +221,57 @@ def induced_cycles(G: Graph, min_len: int = 3, budget=None):
     smaller than its last, so every cycle is emitted exactly once.  Returns
     (list of vertex tuples, exact flag).
     """
+    spent = Budget(budget)
+    return _induced_cycles(G, min_len, spent), not spent.exhausted
+
+
+def _induced_cycles(G: Graph, min_len: int, spent: Budget) -> list:
     n = G.n
-    if budget is None and n > EXACT_DEFAULT_MAX:
+    if spent.cap is None and n > EXACT_DEFAULT_MAX:
         raise ValueError(f"n={n} needs an explicit budget")
-    counter = _Counter(budget)
-    adj_masks = [sum(1 << w for w in G.adj[v]) for v in range(n)]
+    adj = G.adj
+    adj_masks = [sum(1 << w for w in adj[v]) for v in range(n)]
     out = []
-    exact = True
-
-    def extend(root, path, visited, blocked):
-        # blocked: vertices adjacent to the path interior, forbidden forever
-        nonlocal exact
-        if not counter.spend():
-            exact = False
-            return False
-        v = path[-1]
-        alive = True
-        for w in G.adj[v]:
-            if w <= root or (visited >> w) & 1 or (blocked >> w) & 1:
-                continue
-            closes = (adj_masks[w] >> root) & 1
-            if closes:
-                if len(path) >= min_len - 1 and path[1] < w:
-                    out.append(tuple([root] + path[1:] + [w]))
-                continue
-            new_blocked = blocked | (adj_masks[v] & ~(1 << w))
-            path.append(w)
-            if not extend(root, path, visited | (1 << w), new_blocked):
-                alive = False
-            path.pop()
-            if not alive:
-                return False
-        return alive
-
     for root in range(n):
-        for a in G.adj[root]:
+        for a in adj[root]:
             if a <= root:
                 continue
-            # paths start root, a; chords to root are only allowed as closure
-            if not extend(root, [root, a], (1 << root) | (1 << a), 0):
-                return out, False
-    return out, exact
+            # paths start root, a; chords to root are only allowed as closure.
+            # frames[i] extends path[i + 1]; blocked holds the vertices
+            # adjacent to the path interior, forbidden forever.
+            if not spent.spend():
+                return out
+            path = [root, a]
+            frames = [(iter(adj[a]), (1 << root) | (1 << a), 0)]
+            while frames:
+                neighbors, visited, blocked = frames[-1]
+                v = path[-1]
+                for w in neighbors:
+                    if w <= root or (visited >> w) & 1 or (blocked >> w) & 1:
+                        continue
+                    if (adj_masks[w] >> root) & 1:
+                        if len(path) >= min_len - 1 and path[1] < w:
+                            out.append(tuple(path) + (w,))
+                        continue
+                    if not spent.spend():
+                        return out
+                    path.append(w)
+                    frames.append((iter(adj[w]), visited | (1 << w),
+                                   blocked | (adj_masks[v] & ~(1 << w))))
+                    break
+                else:
+                    frames.pop()
+                    path.pop()
+    return out
 
 
 def brute_longest_induced_cycle(G: Graph, budget=None) -> SearchResult:
-    """Longest induced cycle via full enumeration."""
-    cycles, exact = induced_cycles(G, min_len=3, budget=budget)
+    """Longest induced cycle via full enumeration; ``expansions`` counts
+    the nodes that enumeration spent."""
+    spent = Budget(budget)
+    cycles = _induced_cycles(G, 3, spent)
     best = max(cycles, key=len, default=None)
-    return SearchResult(best, exact, 0)
+    return SearchResult(best, not spent.exhausted, spent.used)
 
 
 # --- cycle packings and intersections --------------------------------------
@@ -339,30 +285,30 @@ def max_disjoint_cycles(cycles, target=None, budget=None):
     sets = sorted({frozenset(c.vertices) if isinstance(c, DirectedCycle)
                    else frozenset(c) for c in cycles},
                   key=lambda s: (len(s), sorted(s)))
-    counter = _Counter(budget)
+    spent = Budget(budget)
     best = 0
-    exact = True
-
-    def rec(i, used, count):
-        nonlocal best, exact
-        if not counter.spend():
-            exact = False
-            return False
+    frames = []  # frames[k]: (indices left for set k + 1, union of sets 1..k)
+    i, used = 0, frozenset()
+    while spent.spend():
+        count = len(frames)
         best = max(best, count)
         if target is not None and best >= target:
-            return False
-        if count + (len(sets) - i) <= best:
-            return True
-        alive = True
-        for j in range(i, len(sets)):
-            if not sets[j] & used:
-                if not rec(j + 1, used | sets[j], count + 1):
-                    alive = False
+            break
+        if count + (len(sets) - i) > best:
+            frames.append((iter(range(i, len(sets))), used))
+        # advance to the next disjoint choice, backtracking as frames run out
+        i = None
+        while frames and i is None:
+            candidates, used = frames[-1]
+            for j in candidates:
+                if not sets[j] & used:
+                    i, used = j + 1, used | sets[j]
                     break
-        return alive
-
-    rec(0, frozenset(), 0)
-    return best, exact or (target is not None and best >= target)
+            else:
+                frames.pop()
+        if i is None:
+            break
+    return best, not spent.exhausted or (target is not None and best >= target)
 
 
 def longest_cycles_pairwise_intersect(D: Digraph, budget=None):
@@ -373,8 +319,7 @@ def longest_cycles_pairwise_intersect(D: Digraph, budget=None):
     """
     from .cyclegraph import enumerate_directed_cycles
 
-    cycles, truncated = enumerate_directed_cycles(
-        D, max_count=budget if budget is not None else None)
+    cycles, truncated = enumerate_directed_cycles(D, max_count=budget)
     if truncated:
         return UNKNOWN
     if not cycles:

@@ -36,6 +36,11 @@ def test_budget_exhaustion_returns_unknown():
     assert is_vertex_transitive(D, budget=1) is UNKNOWN
 
 
+def test_find_automorphism_deeper_than_the_recursion_limit():
+    image = find_automorphism(cycle_digraph(1100), 0, 1)
+    assert image == [(v + 1) % 1100 for v in range(1100)]
+
+
 def test_find_automorphism_respects_colors():
     path = Digraph(3, [(0, 1), (1, 2)])
     assert find_automorphism(path, 0, 1) is None

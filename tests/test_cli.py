@@ -1,8 +1,9 @@
 import json
 
-from vtcycles.cli import main
+from vtcycles.cli import build_parser, main
 from vtcycles.digraph import read_edge_list
 from vtcycles.gadgets import directed_cycle_product
+from vtcycles.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -134,6 +135,12 @@ def test_verify_dispatch_covers_every_suite(capsys):
         code, out = run(capsys, "verify", suite)
         assert code == 0, suite
         assert out.splitlines()[0].startswith("instance,"), suite
+
+
+def test_verify_parser_accepts_every_suite():
+    parser = build_parser()
+    for suite in SUITES:
+        assert parser.parse_args(["verify", suite]).suite == suite
 
 
 def test_search_motohashi_cap(capsys):

@@ -70,6 +70,14 @@ def test_enumerate_length_bound():
     assert len(cycles) == 5
 
 
+def test_enumerate_deep_cycle_without_recursion():
+    # Johnson's search walks 3000 vertices deep before closing the cycle
+    cycles, truncated = enumerate_directed_cycles(cycle_digraph(3000),
+                                                  max_count=1)
+    assert not truncated
+    assert [c.vertices for c in cycles] == [tuple(range(3000))]
+
+
 def test_enumerate_refuses_unbounded_large():
     with pytest.raises(ValueError, match="capped"):
         enumerate_directed_cycles(toroidal_gadget(3, verify=False))
@@ -242,6 +250,13 @@ def test_symmetry_cycle_falls_back_under_tiny_budget():
     cycle, report = induced_cycle_via_symmetry(G, rotations(44), path_budget=5)
     assert len(cycle) == 44
     assert report["floor_holds"]
+
+
+def test_symmetry_cycle_on_a_cycle_deeper_than_the_recursion_limit():
+    G = undirected_cycle(1100)
+    cycle, report = induced_cycle_via_symmetry(G, rotations(1100),
+                                               path_budget=5000)
+    assert len(cycle) == 1100 and report["floor_holds"]
 
 
 def test_symmetry_cycle_rejects_small_diameter():

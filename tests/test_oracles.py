@@ -145,3 +145,98 @@ def test_hamiltonian_iff_circumference_is_n():
         res = brute_longest_cycle(D)
         assert res.exact
         assert ham == (res.best.length == D.n)
+
+
+# --- the iterative search core ----------------------------------------------
+
+PARITY_HOSTS = {
+    "C25": lambda: cycle_digraph(25),
+    "C5xC6": lambda: directed_cycle_product(5, 6),
+    "K8": lambda: complete_bidirected(8),
+    "chain4": lambda: four_cycle_chain(4),
+}
+C25 = tuple(range(25))
+K8 = tuple(range(8))
+P56_CYCLE = (0, 1, 2, 3, 4, 5, 11, 6, 7, 8, 9, 10, 16, 17, 12, 13, 14, 15,
+             21, 22, 23, 18, 19, 20, 26, 27, 28, 29, 24)
+P56_PATH = P56_CYCLE + (25,)
+CHAIN4_PATH = (0, 1, 3, 5, 2, 4, 6, 8, 7, 9, 11, 13, 10, 12, 14, 15)
+
+# Recorded from the recursive backtrackers that the shared iterative walk
+# replaced.  Columns: host, budget, brute_longest_cycle and
+# brute_longest_path as (vertices, exact, expansions), then
+# find_path_of_length(D, n - 1).
+SEARCH_PARITY = [
+    ("C25", 10, (None, False, 11), (C25[:10], False, 11), UNKNOWN),
+    ("C25", 50, (C25, False, 51), (C25, False, 51), C25),
+    ("C5xC6", 10, (P56_CYCLE[:6], False, 11), (P56_PATH[:10], False, 11),
+     UNKNOWN),
+    ("C5xC6", 50, (P56_CYCLE, False, 51), (P56_PATH, False, 51), P56_PATH),
+    ("K8", None, (K8, True, 16072), (K8, True, 109600), K8),
+    ("K8", 10, (K8, False, 11), (K8, False, 11), K8),
+    ("K8", 50, (K8, False, 51), (K8, False, 51), K8),
+    ("chain4", None, ((0, 2, 1, 3), True, 644), (CHAIN4_PATH, True, 2180),
+     CHAIN4_PATH),
+    ("chain4", 10, ((0, 1, 3), False, 11), (CHAIN4_PATH[:10], False, 11),
+     UNKNOWN),
+    ("chain4", 50, ((0, 1, 3), False, 51), (CHAIN4_PATH, False, 51),
+     CHAIN4_PATH),
+]
+
+# brute_hamiltonian's backtracking branch (25 <= n <= 40), same origin.
+HAMILTON_PARITY = [
+    ("C25", 10, UNKNOWN),
+    ("C25", 50, C25),
+    ("C5xC6", 10, UNKNOWN),
+    ("C5xC6", 50, UNKNOWN),
+]
+
+
+def _vertices(found):
+    return found if found is None or found is UNKNOWN else found.vertices
+
+
+@pytest.mark.parametrize("host,budget,cycle,path,long_path", SEARCH_PARITY,
+                         ids=[f"{h}-{b}" for h, b, *_ in SEARCH_PARITY])
+def test_path_searches_match_recorded_results(host, budget, cycle, path,
+                                              long_path):
+    D = PARITY_HOSTS[host]()
+    res = brute_longest_cycle(D, budget=budget)
+    assert (_vertices(res.best), res.exact, res.expansions) == cycle
+    res = brute_longest_path(D, budget=budget)
+    assert (_vertices(res.best), res.exact, res.expansions) == path
+    assert _vertices(find_path_of_length(D, D.n - 1, budget=budget)) == long_path
+
+
+@pytest.mark.parametrize("host,budget,cycle", HAMILTON_PARITY,
+                         ids=[f"{h}-{b}" for h, b, _ in HAMILTON_PARITY])
+def test_hamiltonian_backtracking_matches_recorded_results(host, budget, cycle):
+    D = PARITY_HOSTS[host]()
+    assert _vertices(brute_hamiltonian(D, budget=budget)) == cycle
+
+
+def test_deep_path_searches_stop_at_the_budget():
+    # thousands of vertices deep: the budget ends the walk, not recursion
+    found = find_path_of_length(cycle_digraph(5000), 4999, budget=10 ** 4)
+    assert found.vertices == tuple(range(5000))
+    res = brute_longest_path(cycle_digraph(3000), budget=10 ** 4)
+    assert res.best.vertices == tuple(range(3000))
+    assert not res.exact and res.expansions == 10 ** 4 + 1
+
+
+def test_deep_induced_cycle_and_packing_searches():
+    G = Graph(3000, [(i, (i + 1) % 3000) for i in range(3000)])
+    cycles, exact = induced_cycles(G, budget=10 ** 4)
+    assert cycles == [tuple(range(3000))] and not exact
+    digons = [(2 * i, 2 * i + 1) for i in range(1500)]
+    assert max_disjoint_cycles(digons, target=1500, budget=10 ** 4) == (1500, True)
+
+
+def test_longest_induced_cycle_reports_its_expansions():
+    petersen = Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5),
+                          (1, 6), (2, 7), (3, 8), (4, 9), (5, 7), (7, 9),
+                          (9, 6), (6, 8), (8, 5)])
+    full = brute_longest_induced_cycle(petersen)
+    assert full.exact and full.expansions > 0
+    cut = brute_longest_induced_cycle(petersen, budget=20)
+    assert not cut.exact and cut.expansions == 21

@@ -11,9 +11,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vtcycles.digraph import Digraph, Graph
+from vtcycles.digraph import INF, Digraph, Graph
 from vtcycles.longcycle import dfs_long_cycle, expansion_exact
-from vtcycles.oracles import induced_cycles
+from vtcycles.oracles import brute_longest_cycle, induced_cycles
 from vtcycles.cyclegraph import (build_cycle_graph, enumerate_directed_cycles,
                                  stitch_directed_cycle)
 
@@ -28,6 +28,29 @@ def strong_digraphs(draw, max_n=8):
     extra = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
     ring = [(i, (i + 1) % n) for i in range(n)]
     return Digraph(n, ring + extra)
+
+
+@st.composite
+def strong_cores(draw, max_n=7):
+    """The strong component of vertex 0 in a random digraph: strongly
+    connected, but with no spanning cycle forced on it."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+    D = Digraph(n, arcs)
+    forward = D.bfs_distances(0)
+    backward = D.bfs_distances(0, reverse=True)
+    core = [v for v in range(n) if forward[v] != INF and backward[v] != INF]
+    return D.induced_subdigraph(core)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(strong_cores())
+def test_longest_cycle_matches_plain_dfs_circumference(D):
+    res = brute_longest_cycle(D)
+    assert res.exact
+    longest = max((len(c) for c in dfs_all_cycles(D)), default=0)
+    assert (res.best.length if res.best else 0) == longest
 
 
 @settings(max_examples=40, deadline=None)
