@@ -1,14 +1,18 @@
 """Digraph automorphism search by color refinement plus backtracking.
 
 Used to verify vertex transitivity of digraphs that do not come with a
-Cayley certificate.  Exact for the default budget on hosts up to a few
-dozen vertices; returns UNKNOWN when the node budget runs out.
+Cayley certificate.  The certificate is the same as for Cayley digraphs
+(:func:`groups.orbit_family`): a few generating automorphisms, each checked
+against every arc, and the orbit of vertex 0 closed by products of them.
+Search supplies the generators, one for each vertex the orbit has not yet
+reached.  Exact for the default budget on hosts up to a few dozen vertices;
+returns UNKNOWN when the node budget runs out.
 """
 
 from __future__ import annotations
 
 from .digraph import Budget, Digraph, UNKNOWN
-from .groups import AutomorphismFamily
+from .groups import AutomorphismFamily, orbit_family
 
 DEFAULT_BUDGET = 200_000
 
@@ -98,66 +102,37 @@ def _search(D, colors, src, dst, spent):
     return None
 
 
-def orbit_of(n: int, generators, start: int) -> set:
-    """Orbit of a vertex under the group generated by the permutations."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for p in generators:
-            w = p[v]
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen
-
-
 def is_vertex_transitive(D: Digraph, budget=None):
-    """TRUE iff the automorphism group acts transitively on vertices.
+    """TRUE iff the automorphism group acts transitively on vertices; the
+    verdict of :func:`automorphism_family_by_search` at the same budget."""
+    fam = automorphism_family_by_search(D, budget)
+    return fam if fam is UNKNOWN else fam is not None
 
-    Exact by default on small hosts; UNKNOWN once the shared search budget
-    is exhausted.  Vertices in distinct refined color classes can never be
-    swapped, which gives a fast negative path.
+
+def automorphism_family_by_search(D: Digraph, budget=None):
+    """A transitivity certificate found by search: for each vertex u one
+    automorphism mapping 0 to u.  None if not transitive, UNKNOWN once the
+    shared search budget is exhausted.
+
+    Vertices in distinct refined color classes can never be swapped, which
+    gives a fast negative path.  Otherwise 0 -> u is searched only for the
+    u not yet in the orbit of 0 under the automorphisms found so far, and
+    :func:`orbit_family` closes that orbit again after each new one.
     """
-    if D.n <= 1:
-        return True
     colors = refine_colors(D)
     if len(set(colors)) > 1:
-        return False
+        return None
     spent = Budget(DEFAULT_BUDGET if budget is None else budget)
     generators = []
-    orbit = {0}
+    members = {0: tuple(range(D.n))}
     for u in range(1, D.n):
-        if u in orbit:
+        if u in members:
             continue
         res = _search(D, list(colors), 0, u, spent)
         if res is UNKNOWN:
             return UNKNOWN
         if res is None:
-            return False
-        generators.append(res)
-        orbit = orbit_of(D.n, generators, 0)
-    return True
-
-
-def automorphism_family_by_search(D: Digraph, budget=None):
-    """A transitivity certificate found by search: for each vertex u one
-    automorphism mapping 0 to u.  None if not transitive, UNKNOWN on budget
-    exhaustion.  The family is validated before being returned."""
-    if D.n == 0:
-        return AutomorphismFamily(0, ())
-    colors = refine_colors(D)
-    if len(set(colors)) > 1:
-        return None
-    spent = Budget(DEFAULT_BUDGET if budget is None else budget)
-    perms = [tuple(range(D.n))]
-    for u in range(1, D.n):
-        res = _search(D, list(colors), 0, u, spent)
-        if res is UNKNOWN:
-            return UNKNOWN
-        if res is None:
             return None
-        perms.append(tuple(res))
-    fam = AutomorphismFamily(D.n, tuple(perms))
-    fam.validate_digraph(D)
-    return fam
+        generators.append(res)
+        members = orbit_family(D, generators)
+    return AutomorphismFamily(D.n, tuple(members[u] for u in range(D.n)))

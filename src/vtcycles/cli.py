@@ -13,7 +13,6 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass
 
 from .automorphisms import automorphism_family_by_search
 from .digraph import INF, UNKNOWN, read_edge_list, to_dot, write_edge_list
@@ -33,18 +32,6 @@ log = logging.getLogger("vtc")
 
 ANALYZE_OPS = ("diameter", "expansion", "dfs-cycle", "long-path",
                "cycle-graph", "pipeline-n13")
-
-
-@dataclass
-class RunConfig:
-    """Execution knobs shared by all subcommands."""
-
-    out: str = None
-    fmt: str = "json"
-    budget_nodes: int = 2_000_000
-    max_cycles: int = 10 ** 6
-    threads: int = 1
-    seed: int = 0
 
 
 def _add_common(parser):
@@ -102,9 +89,9 @@ def build_parser():
     return parser
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _emit(text: str, args) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -112,7 +99,7 @@ def _emit(text: str, cfg: RunConfig) -> None:
 
 # --- construct ---------------------------------------------------------------
 
-def cmd_construct(args, cfg: RunConfig) -> int:
+def cmd_construct(args) -> int:
     try:
         if args.kind == "cayley":
             if not args.group or not args.gens:
@@ -152,8 +139,8 @@ def cmd_construct(args, cfg: RunConfig) -> int:
         sys.stdout.write(dumps({"schema": 1, "error": str(err)}))
         return 2
 
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(write_edge_list(D))
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -167,7 +154,7 @@ def cmd_construct(args, cfg: RunConfig) -> int:
 
 # --- analyze -----------------------------------------------------------------
 
-def _analyze_one(name, D, op, cfg: RunConfig):
+def _analyze_one(name, D, op, args):
     if op == "diameter":
         d = D.directed_diameter()
         return make_report(name, op, {}, {"directed_diameter": d,
@@ -183,8 +170,8 @@ def _analyze_one(name, D, op, cfg: RunConfig):
                                {"alpha_lower": rep.alpha_lower,
                                 "witness": rep.witness_set, "exact": True},
                                assertions=assertions)
-        rep = expansion_sampled(D, seed=cfg.seed)
-        return make_report(name, op, {"seed": cfg.seed},
+        rep = expansion_sampled(D, seed=args.seed)
+        return make_report(name, op, {"seed": args.seed},
                            {"alpha_upper_bound": rep.alpha_lower,
                             "witness": rep.witness_set, "exact": False,
                             "verdict": UNKNOWN})
@@ -197,28 +184,28 @@ def _analyze_one(name, D, op, cfg: RunConfig):
         path = long_path(D)
         return make_report(name, op, {}, {"path": path, "length": path.length})
     if op == "cycle-graph":
-        check = cycle_graph_diameter_check(D, max_count=cfg.max_cycles)
+        check = cycle_graph_diameter_check(D, max_count=args.max_cycles)
         assertions = []
         if check.get("complete"):
             assertions = [("diameter floor", check["floor_holds"]),
                           ("connected", check["connected"])]
-        return make_report(name, op, {"max_cycles": cfg.max_cycles}, check,
+        return make_report(name, op, {"max_cycles": args.max_cycles}, check,
                            assertions=assertions)
     if op == "pipeline-n13":
-        fam = automorphism_family_by_search(D, budget=cfg.budget_nodes)
+        fam = automorphism_family_by_search(D, budget=args.budget_nodes)
         if fam is None:
             raise ValueError("digraph is not vertex transitive")
         if fam is UNKNOWN:
             fam = None  # run without the symmetric route
-        cycle, rep = pipeline_n13(D, fam, max_cycles=cfg.max_cycles)
-        return make_report(name, op, {"max_cycles": cfg.max_cycles},
+        cycle, rep = pipeline_n13(D, fam, max_cycles=args.max_cycles)
+        return make_report(name, op, {"max_cycles": args.max_cycles},
                            {"cycle": cycle, "trace": rep},
                            assertions=[("valid cycle", True),
                                        ("floor", (9 * cycle.length) ** 3 >= D.n)])
     raise ValueError(f"unknown analysis {op!r}")
 
 
-def cmd_analyze(args, cfg: RunConfig) -> int:
+def cmd_analyze(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         D = read_edge_list(fh.read())
     ops = [w.strip() for w in args.which.split(",") if w.strip()]
@@ -228,19 +215,23 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
             return 2
     reports = []
     for op in ops:
+        log.info("analyze %s: start", op)
         try:
-            reports.append(_analyze_one(args.file, D, op, cfg))
+            reports.append(_analyze_one(args.file, D, op, args))
         except (ValueError, AssertionError) as err:
             sys.stdout.write(dumps({"schema": 1, "operation": op,
                                     "error": str(err)}))
             return 2
-    _emit(dumps({"schema": 1, "reports": reports}), cfg)
+        finally:
+            log.info("analyze %s: end", op)
+    _emit(dumps({"schema": 1, "reports": reports}), args)
     return 0 if all(all_assertions_hold(r) for r in reports) else 1
 
 
 # --- verify ------------------------------------------------------------------
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
+    log.info("verify %s: start", args.suite)
     if args.suite == "trotter-erdos":
         result = V.suite_trotter_erdos(args.max_order)
     elif args.suite == "divisibility":
@@ -257,12 +248,13 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         result = V.suite_lemma27()
     else:
         result = V.suite_toroidal(args.max_n)
+    log.info("verify %s: end, %d rows", args.suite, len(result.rows))
 
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _emit(dumps({"schema": 1, "suite": result.name, "ok": result.ok,
-                     "rows": list(result.rows)}), cfg)
+                     "rows": list(result.rows)}), args)
     else:
-        _emit(write_csv(result.rows, result.columns), cfg)
+        _emit(write_csv(result.rows, result.columns), args)
     if not result.ok:
         failing = [r for r in result.rows if not r.get("ok")]
         sys.stderr.write(f"suite {result.name}: {len(failing)} failing case(s)\n")
@@ -273,29 +265,29 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 # --- search ------------------------------------------------------------------
 
-def cmd_search(args, cfg: RunConfig) -> int:
+def cmd_search(args) -> int:
     if args.kind == "prime-partitionable":
         hits = search_prime_partitionable(args.max_d)
         payload = [{"d": d, "partition": parts, "certificate": cert}
                    for d, parts, cert in hits]
         _emit(dumps({"schema": 1, "search": args.kind,
-                     "max_d": args.max_d, "hits": payload}), cfg)
+                     "max_d": args.max_d, "hits": payload}), args)
         return 0
     if args.kind == "motohashi":
         pairs = motohashi_pairs(args.max_p)
-        if cfg.fmt == "csv":
+        if args.fmt == "csv":
             rows = [{"p": m.p, "q": m.q, "bound_ok": m.bound_ok} for m in pairs]
-            _emit(write_csv(rows, ("p", "q", "bound_ok")), cfg)
+            _emit(write_csv(rows, ("p", "q", "bound_ok")), args)
         else:
             _emit(dumps({"schema": 1, "search": args.kind,
-                         "max_p": args.max_p, "pairs": pairs}), cfg)
+                         "max_p": args.max_p, "pairs": pairs}), args)
         return 0
     rows = perimeter_gap_table(args.max_p)
-    if cfg.fmt == "json":
-        _emit(dumps({"schema": 1, "search": args.kind, "rows": rows}), cfg)
+    if args.fmt == "json":
+        _emit(dumps({"schema": 1, "search": args.kind, "rows": rows}), args)
     else:
         _emit(write_csv(rows, ("p", "q", "d", "n1", "n2", "n", "ln_n", "ratio")),
-              cfg)
+              args)
     return 0
 
 
@@ -307,23 +299,22 @@ def main(argv=None) -> int:
                                 "error": "budgets and threads must be positive"}))
         return 2
     default_fmt = {"search": "csv", "verify": "csv"}.get(args.command, "json")
-    cfg = RunConfig(out=args.out,
-                    fmt=args.fmt or default_fmt,
-                    budget_nodes=args.budget_nodes,
-                    max_cycles=args.max_cycles,
-                    threads=args.threads,
-                    seed=args.seed)
+    args.fmt = args.fmt or default_fmt
+    log.info("%s: start", args.command)
     try:
         if args.command == "construct":
-            return cmd_construct(args, cfg)
-        if args.command == "analyze":
-            return cmd_analyze(args, cfg)
-        if args.command == "verify":
-            return cmd_verify(args, cfg)
-        return cmd_search(args, cfg)
+            code = cmd_construct(args)
+        elif args.command == "analyze":
+            code = cmd_analyze(args)
+        elif args.command == "verify":
+            code = cmd_verify(args)
+        else:
+            code = cmd_search(args)
     except (ValueError, OSError) as err:
         sys.stdout.write(dumps({"schema": 1, "error": str(err)}))
-        return 2
+        code = 2
+    log.info("%s: end, exit %d", args.command, code)
+    return code
 
 
 if __name__ == "__main__":

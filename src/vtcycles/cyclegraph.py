@@ -253,20 +253,31 @@ class StitchError(ValueError):
     pass
 
 
+def _first_bad_pair(G: Graph, seq, closed: bool):
+    """First positions i < j whose adjacency in G differs from being
+    consecutive along seq (cyclically when closed), or None when seq
+    induces a path (closed: a cycle)."""
+    k = len(seq)
+    for i in range(k):
+        for j in range(i + 1, k):
+            consecutive = j == i + 1 or (closed and i == 0 and j == k - 1)
+            if G.has_edge(seq[i], seq[j]) != consecutive:
+                return i, j
+    return None
+
+
 def _verify_induced_cycle(graph: Graph, seq) -> None:
     k = len(seq)
     if k < 4:
         raise StitchError(f"need an induced cycle of length >= 4, got {k}")
     if len(set(seq)) != k:
         raise StitchError("index sequence repeats a cycle")
-    for i in range(k):
-        for j in range(i + 1, k):
-            adjacent = graph.has_edge(seq[i], seq[j])
-            consecutive = (j - i == 1) or (i == 0 and j == k - 1)
-            if consecutive and not adjacent:
-                raise StitchError(f"positions {i},{j} not adjacent")
-            if not consecutive and adjacent:
-                raise StitchError(f"chord between positions {i},{j}")
+    bad = _first_bad_pair(graph, seq, closed=True)
+    if bad is not None:
+        i, j = bad
+        if graph.has_edge(seq[i], seq[j]):
+            raise StitchError(f"chord between positions {i},{j}")
+        raise StitchError(f"positions {i},{j} not adjacent")
 
 
 def _walk_until(cycle: DirectedCycle, start: int, targets: frozenset) -> list:
@@ -464,12 +475,9 @@ def induced_cycle_via_symmetry(G: Graph, fam: AutomorphismFamily,
 def _assert_induced_cycle(G: Graph, cycle) -> None:
     k = len(cycle)
     assert len(set(cycle)) == k and k >= 3
-    for i in range(k):
-        for j in range(i + 1, k):
-            adjacent = G.has_edge(cycle[i], cycle[j])
-            consecutive = (j - i == 1) or (i == 0 and j == k - 1)
-            assert adjacent == consecutive, \
-                f"induced-cycle violation between {cycle[i]} and {cycle[j]}"
+    bad = _first_bad_pair(G, cycle, closed=True)
+    assert bad is None, ("induced-cycle violation between "
+                         f"{cycle[bad[0]]} and {cycle[bad[1]]}")
 
 
 def _symmetry_construction(G: Graph, fam: AutomorphismFamily, S: tuple,
@@ -642,11 +650,8 @@ def _extend_path(G: Graph, P_prime, Q_prime, hook, q):
 def _qualifies(G: Graph, path, q) -> bool:
     if len(path) < q or len(set(path)) != len(path):
         return False
-    for i, a in enumerate(path):
-        for j in range(i + 1, len(path)):
-            if G.has_edge(a, path[j]) != (j == i + 1):
-                return False
-    return _tail_is_geodesic(G, path, q)
+    return (_first_bad_pair(G, path, closed=False) is None
+            and _tail_is_geodesic(G, path, q))
 
 
 def _tail_is_geodesic(G: Graph, path, q) -> bool:

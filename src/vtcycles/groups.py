@@ -9,6 +9,7 @@ and inversion.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
 from .digraph import Digraph
@@ -219,7 +220,7 @@ class AutomorphismFamily:
 
     Validation against a concrete host lives in :meth:`validate_digraph` /
     :meth:`validate_graph`; constructors that hand out families are expected
-    to call one of them.
+    to call one of them, directly or through :func:`orbit_family`.
     """
 
     n: int
@@ -262,17 +263,38 @@ class AutomorphismFamily:
         return True
 
 
+def orbit_family(D: Digraph, generators, root: int = 0) -> dict:
+    """Map each vertex u in the orbit of root to an automorphism of D that
+    carries root to u.  Each generator is checked against every arc; when
+    generator p first maps v to w, the member for w is p after the member
+    for v, so every member preserves every arc as well."""
+    AutomorphismFamily(D.n, generators).validate_digraph(D)
+    members = {root: tuple(range(D.n))}
+    frontier = deque([root])
+    while frontier:
+        v = frontier.popleft()
+        for p in generators:
+            w = p[v]
+            if w not in members:
+                members[w] = tuple(p[x] for x in members[v])
+                frontier.append(w)
+    return members
+
+
 def left_translations(spec: CayleySpec) -> AutomorphismFamily:
     """Left multiplication maps x -> g*x, one per group element.
 
-    These preserve arcs of the Cayley digraph because (gx)^{-1}(gy) =
-    x^{-1}y, and they act transitively; both facts are checked here.
+    Translations by generators preserve arcs because (sx)^{-1}(sy) =
+    x^{-1}y; every other row must equal their product built by
+    :func:`orbit_family`, and the family must act transitively.
     """
     g = spec.group
-    perms = tuple(tuple(g.mult[h][x] for x in range(g.order))
-                  for h in range(g.order))
-    fam = AutomorphismFamily(g.order, perms)
-    fam.validate_digraph(cayley_digraph(spec))
+    members = orbit_family(cayley_digraph(spec),
+                           [g.mult[s] for s in spec.generators], g.identity)
+    for h in range(g.order):
+        if members.get(h) != g.mult[h]:
+            raise ValueError(f"row {h} is not a product of generator rows")
+    fam = AutomorphismFamily(g.order, g.mult)
     assert fam.is_transitive()
     return fam
 

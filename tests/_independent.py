@@ -1,9 +1,9 @@
 """Independent oracle implementations used only by the tests.
 
 These deliberately share no code with the package: second implementations
-of gcd, BFS, cycle enumeration, Hamiltonicity and the expansion minimum,
-coded in the most naive way available, so that agreement between the two
-routes is meaningful evidence.
+of gcd, BFS, cycle enumeration, Hamiltonicity, the expansion minimum and
+the automorphism check, coded in the most naive way available, so that
+agreement between the two routes is meaningful evidence.
 """
 
 from collections import deque
@@ -67,6 +67,14 @@ def permutation_hamiltonian(D):
         if all(D.has_arc(order[i], order[(i + 1) % n]) for i in range(n)):
             return True
     return False
+
+
+def preserves_arc_set(D, perm):
+    """Whether perm is a bijection of the vertices that maps the arc set of
+    D onto itself, compared as plain sets of pairs."""
+    arcs = {(u, w) for u in range(D.n) for w in D.out[u]}
+    return (sorted(perm) == list(range(D.n))
+            and {(perm[u], perm[w]) for u, w in arcs} == arcs)
 
 
 def subset_expansion_minimum(D):

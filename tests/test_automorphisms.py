@@ -2,8 +2,11 @@ from vtcycles.automorphisms import (automorphism_family_by_search,
                                     find_automorphism, is_vertex_transitive,
                                     refine_colors)
 from vtcycles.digraph import Digraph, UNKNOWN
-from vtcycles.gadgets import (cycle_digraph, directed_cycle_product,
-                              four_cycle_chain, toroidal_gadget)
+from vtcycles.gadgets import (complete_bidirected, cycle_digraph,
+                              directed_cycle_product, four_cycle_chain,
+                              toroidal_gadget)
+from vtcycles.groups import (CayleySpec, cayley_digraph, cyclic_group,
+                             dihedral_group)
 
 
 def test_directed_cycles_are_transitive():
@@ -53,3 +56,57 @@ def test_family_by_search_is_validated():
     fam = automorphism_family_by_search(D)
     assert fam is not None and fam.is_transitive()
     assert automorphism_family_by_search(four_cycle_chain(2)) is None
+
+
+# is_vertex_transitive verdicts recorded before the search and the Cayley
+# certificate shared one orbit closure: one letter per budget in BUDGETS,
+# T(rue), F(alse) or U(NKNOWN).
+BUDGETS = (None, 1, 2, 3, 5, 8, 13, 30, 100)
+RECORDED_VERDICTS = {
+    "C2": "TUTTTTTTT",
+    "C3": "TUUUTTTTT",
+    "C5": "TUUUUTTTT",
+    "C8": "TUUUUUUTT",
+    "C3xC3": "TUUUUUUUT",
+    "C2xC4": "TUUUUUUUT",
+    "C3xC4": "TUUUUUUUT",
+    "toroidal(1)": "TUUUUUUUU",
+    "toroidal(2)": "TUUUUUUUU",
+    "chain(2)": "FUUUUUUFF",
+    "K5": "TUUUUUUTT",
+    "D5<r,s>": "TUUUUUUUT",
+    "Z12<2,3>": "TUUUUUUUT",
+}
+
+
+def _recorded_hosts():
+    return {
+        "C2": cycle_digraph(2), "C3": cycle_digraph(3),
+        "C5": cycle_digraph(5), "C8": cycle_digraph(8),
+        "C3xC3": directed_cycle_product(3, 3),
+        "C2xC4": directed_cycle_product(2, 4),
+        "C3xC4": directed_cycle_product(3, 4),
+        "toroidal(1)": toroidal_gadget(1), "toroidal(2)": toroidal_gadget(2),
+        "chain(2)": four_cycle_chain(2), "K5": complete_bidirected(5),
+        "D5<r,s>": cayley_digraph(CayleySpec(dihedral_group(5), (1, 5))),
+        "Z12<2,3>": cayley_digraph(CayleySpec(cyclic_group(12), (2, 3))),
+    }
+
+
+def _letter(verdict):
+    return "U" if verdict is UNKNOWN else ("T" if verdict else "F")
+
+
+def test_transitivity_verdicts_match_recorded_table():
+    for name, D in _recorded_hosts().items():
+        got = "".join(_letter(is_vertex_transitive(D, budget=b))
+                      for b in BUDGETS)
+        assert got == RECORDED_VERDICTS[name], name
+
+
+def test_family_by_search_is_unknown_exactly_where_the_verdict_is():
+    D = directed_cycle_product(3, 3)
+    assert automorphism_family_by_search(D, budget=30) is UNKNOWN
+    fam = automorphism_family_by_search(D, budget=100)
+    assert fam is not UNKNOWN and fam.is_transitive()
+    assert [p[0] for p in fam.permutations] == list(range(D.n))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from vtcycles.cli import build_parser, main
 from vtcycles.digraph import read_edge_list
@@ -147,3 +150,30 @@ def test_search_motohashi_cap(capsys):
     code, out = run(capsys, "search", "motohashi", "--max-p", str(10 ** 7))
     assert code == 2
     assert "capped" in json.loads(out)["error"]
+
+
+def _cli_process(argv, log_level):
+    env = {k: v for k, v in os.environ.items() if k != "VTC_LOG"}
+    if log_level:
+        env["VTC_LOG"] = log_level
+    return subprocess.run([sys.executable, "-m", "vtcycles.cli", *argv],
+                          capture_output=True, text=True, check=False, env=env)
+
+
+def test_vtc_log_names_stages_on_stderr_only(tmp_path):
+    edges = tmp_path / "p.edges"
+    edges.write_text("6 6\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n")
+    for argv, lines in (
+            (["verify", "figure1", "--max-k", "2"],
+             ["verify: start", "verify figure1: start",
+              "verify figure1: end, 2 rows", "verify: end, exit 0"]),
+            (["analyze", str(edges), "--which", "diameter,dfs-cycle"],
+             ["analyze: start", "analyze diameter: start",
+              "analyze diameter: end", "analyze dfs-cycle: start",
+              "analyze dfs-cycle: end", "analyze: end, exit 2"])):
+        quiet = _cli_process(argv, None)
+        logged = _cli_process(argv, "INFO")
+        assert logged.returncode == quiet.returncode
+        assert logged.stdout == quiet.stdout
+        assert quiet.stderr == ""
+        assert [ln.split(":", 2)[2] for ln in logged.stderr.splitlines()] == lines

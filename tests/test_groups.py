@@ -143,3 +143,42 @@ def test_parse_dihedral_group():
     assert g.order == 10
     with pytest.raises(ValueError, match="unrecognized"):
         parse_group("quaternion 8")
+
+
+def test_left_translations_are_the_table_rows():
+    from vtcycles.gadgets import toroidal_cayley_spec
+
+    specs = [CayleySpec(cyclic_group(12), (2, 3)),
+             CayleySpec(cyclic_group(20), (1, 7)),
+             product_cayley_spec(3, 4),
+             CayleySpec(dihedral_group(5), (1, 5)),
+             toroidal_cayley_spec(1), toroidal_cayley_spec(3)]
+    for spec in specs:
+        g, n = spec.group, spec.group.order
+        rows = tuple(tuple(g.mult[h][x] for x in range(n)) for h in range(n))
+        assert left_translations(spec).permutations == rows
+
+
+# Raw tables of loops (a two-sided identity 0 and inverses, but not
+# associative) that bypass group_from_table.  In the first, a generator's
+# row breaks an arc.  In the others the generator rows are automorphisms
+# but some other row is not their product; in the last, every row still
+# preserves the arcs, so only the product check rejects it.
+LOOPS = [
+    (((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1),
+      (4, 3, 1, 2, 0)), (1, 2)),
+    (((0, 1, 2, 3, 4, 5), (1, 0, 3, 2, 5, 4), (2, 3, 4, 5, 0, 1),
+      (3, 2, 5, 4, 1, 0), (4, 5, 0, 1, 3, 2), (5, 4, 1, 0, 2, 3)), (3,)),
+    (((0, 1, 2, 3, 4, 5), (1, 5, 4, 2, 3, 0), (2, 4, 5, 1, 0, 3),
+      (3, 2, 1, 0, 5, 4), (4, 3, 0, 5, 2, 1), (5, 0, 3, 4, 1, 2)), (4, 5)),
+]
+
+
+@pytest.mark.parametrize("table, gens", LOOPS)
+def test_left_translations_reject_a_non_associative_loop(table, gens):
+    n = len(table)
+    inverse = tuple(next(b for b in range(n) if table[a][b] == 0)
+                    for a in range(n))
+    spec = CayleySpec(GroupTable(n, table, 0, inverse), gens)
+    with pytest.raises(ValueError):
+        left_translations(spec)

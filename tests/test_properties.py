@@ -11,13 +11,15 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vtcycles.digraph import INF, Digraph, Graph
+from vtcycles.automorphisms import (automorphism_family_by_search,
+                                    is_vertex_transitive)
+from vtcycles.digraph import INF, UNKNOWN, Digraph, Graph
 from vtcycles.longcycle import dfs_long_cycle, expansion_exact
 from vtcycles.oracles import brute_longest_cycle, induced_cycles
 from vtcycles.cyclegraph import (build_cycle_graph, enumerate_directed_cycles,
                                  stitch_directed_cycle)
 
-from _independent import dfs_all_cycles, subset_induced_cycles
+from _independent import dfs_all_cycles, preserves_arc_set, subset_induced_cycles
 
 
 @st.composite
@@ -81,6 +83,35 @@ def test_descendant_search_meets_exact_expansion_floor(D):
     assert alpha > 0  # strong connectivity forces a positive ratio
     res = dfs_long_cycle(D, alpha=alpha)
     assert 3 * res.cycle.length * alpha.denominator >= alpha.numerator * D.n
+
+
+@st.composite
+def circulants_and_digraphs(draw, max_n=8):
+    """A circulant (arcs x -> x+s mod n for s in a random connection set)
+    or an arbitrary random digraph."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    if draw(st.booleans()):
+        shifts = draw(st.sets(st.integers(min_value=1, max_value=max(1, n - 1))))
+        return Digraph(n, [(x, (x + s) % n) for x in range(n) for s in shifts
+                           if s % n])
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    return Digraph(n, draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+                   if pairs else [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(circulants_and_digraphs(),
+       st.sampled_from((None, 1, 2, 3, 5, 8, 13, 30, 100)))
+def test_family_by_search_matches_transitivity_verdict(D, budget):
+    verdict = is_vertex_transitive(D, budget=budget)
+    fam = automorphism_family_by_search(D, budget=budget)
+    if verdict is UNKNOWN or verdict is False:
+        assert fam is (UNKNOWN if verdict is UNKNOWN else None)
+        return
+    assert verdict is True and len(fam) == D.n
+    for u, perm in enumerate(fam.permutations):
+        assert perm[0] == u
+        assert preserves_arc_set(D, perm)
 
 
 def test_stitching_survives_a_random_host_sweep():
