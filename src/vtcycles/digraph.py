@@ -124,6 +124,38 @@ def _diameter(n: int, bfs_distances):
     return best, pair
 
 
+def _bitset_diameter(adj):
+    """``_diameter`` of the undirected graph with adjacency tuple ``adj``,
+    by level-synchronous BFS over bitsets: each level is the OR of the
+    frontier's neighbor masks minus the vertices already seen.  The
+    eccentricity is the number of levels, and the lowest vertex of the last
+    level is the first one at that distance, as in ``_diameter``."""
+    masks = [sum(1 << w for w in row) for row in adj]
+    full = (1 << len(adj)) - 1
+    best, pair = 0, None
+    for s in range(len(adj)):
+        seen = level = 1 << s
+        ecc = 0
+        while True:
+            reach = 0
+            rest = level
+            while rest:
+                low = rest & -rest
+                reach |= masks[low.bit_length() - 1]
+                rest ^= low
+            reach &= ~seen
+            if not reach:
+                break
+            seen |= reach
+            level = reach
+            ecc += 1
+        if seen != full:
+            return INF, None
+        if ecc > best or pair is None:
+            best, pair = ecc, (s, (level & -level).bit_length() - 1)
+    return best, pair
+
+
 class Digraph:
     """Finite simple digraph on vertices 0..n-1 with sorted adjacency.
 
@@ -215,7 +247,10 @@ class Digraph:
         return shortest_route(self.out, (source,), target)
 
     def directed_diameter(self):
-        """Max pairwise directed distance; INF iff not strongly connected."""
+        """Max pairwise directed distance; INF iff not strongly connected.
+
+        One list BFS per source: on sparse directed hosts (Z2000<1,7>,
+        C30xC30) it measured faster than the bitset BFS of ``Graph``."""
         return _diameter(self.n, self.bfs_distances)[0]
 
     def diameter_path(self):
@@ -317,7 +352,7 @@ class Graph:
         return INF not in self.bfs_distances(0)
 
     def diameter(self):
-        return _diameter(self.n, self.bfs_distances)[0]
+        return _bitset_diameter(self.adj)[0]
 
     def shortest_path(self, source: int, target: int):
         return shortest_route(self.adj, (source,), target)
@@ -325,7 +360,7 @@ class Graph:
     def diameter_path(self):
         """A shortest path realizing the diameter (lexicographically first
         source/target pair), or None when disconnected or empty."""
-        pair = _diameter(self.n, self.bfs_distances)[1]
+        pair = _bitset_diameter(self.adj)[1]
         return None if pair is None else self.shortest_path(*pair)
 
 

@@ -10,9 +10,9 @@ raises, it is never silently ignored.
 from __future__ import annotations
 
 from .digraph import Digraph, cartesian_product
-from .groups import (AutomorphismFamily, CayleySpec, cayley_digraph,
-                     cyclic_group, direct_product, left_translations,
-                     product_element)
+from .groups import (AutomorphismFamily, CayleySpec, _left_translations,
+                     cayley_digraph, cyclic_group, direct_product,
+                     left_translations, product_element)
 from .oracles import brute_hamiltonian, find_path_of_length
 
 
@@ -145,9 +145,10 @@ def toroidal_gadget(n: int, verify: bool = True) -> Digraph:
     if verify:
         if D.n != 8 * n + 4:
             raise GadgetVerificationError(f"vertex count {D.n} != {8 * n + 4}")
-        fam = left_translations(spec)
-        if not fam.is_transitive():
-            raise GadgetVerificationError("translations are not transitive")
+        try:
+            _left_translations(spec, D)
+        except ValueError as err:
+            raise GadgetVerificationError(f"translations: {err}") from err
         if n <= 2 and brute_hamiltonian(D) is not None:
             raise GadgetVerificationError("toroidal gadget has a Hamilton cycle")
     return D

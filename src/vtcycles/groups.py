@@ -288,14 +288,20 @@ def left_translations(spec: CayleySpec) -> AutomorphismFamily:
     x^{-1}y; every other row must equal their product built by
     :func:`orbit_family`, and the family must act transitively.
     """
+    return _left_translations(spec, cayley_digraph(spec))
+
+
+def _left_translations(spec: CayleySpec, D: Digraph) -> AutomorphismFamily:
+    """:func:`left_translations` certified against ``D``, the already built
+    ``cayley_digraph(spec)``; raises ``ValueError`` if any check fails."""
     g = spec.group
-    members = orbit_family(cayley_digraph(spec),
-                           [g.mult[s] for s in spec.generators], g.identity)
+    members = orbit_family(D, [g.mult[s] for s in spec.generators], g.identity)
     for h in range(g.order):
         if members.get(h) != g.mult[h]:
             raise ValueError(f"row {h} is not a product of generator rows")
     fam = AutomorphismFamily(g.order, g.mult)
-    assert fam.is_transitive()
+    if not fam.is_transitive():
+        raise ValueError("left translations are not transitive")
     return fam
 
 

@@ -11,7 +11,9 @@ silently returning the best found.
 Every exhaustive search here is iterative, and each backtracking search
 charges one shared node ``Budget``, so a deep input runs into its cap, never
 into the interpreter's recursion limit.  The simple-path searches all walk
-``simple_paths``.
+``simple_paths``.  The induced-cycle searches walk ``_induced_closures``,
+whose candidate sets are bitmasks; the longest-induced-cycle oracle keeps
+one best cycle, never the list of all induced cycles.
 """
 
 from __future__ import annotations
@@ -218,60 +220,92 @@ def induced_cycles(G: Graph, min_len: int = 3, budget=None):
     """All induced (chordless) cycles of length >= min_len.
 
     Each cycle is rooted at its minimum vertex with its second vertex
-    smaller than its last, so every cycle is emitted exactly once.  Returns
-    (list of vertex tuples, exact flag).
+    smaller than its last, so every cycle is emitted exactly once.  The
+    list expands the closer masks of ``_induced_closures`` in ascending bit
+    order.  Returns (list of vertex tuples, exact flag).
     """
     spent = Budget(budget)
-    return _induced_cycles(G, min_len, spent), not spent.exhausted
-
-
-def _induced_cycles(G: Graph, min_len: int, spent: Budget) -> list:
-    n = G.n
-    if spent.cap is None and n > EXACT_DEFAULT_MAX:
-        raise ValueError(f"n={n} needs an explicit budget")
-    adj = G.adj
-    adj_masks = [sum(1 << w for w in adj[v]) for v in range(n)]
     out = []
-    for root in range(n):
-        for a in adj[root]:
-            if a <= root:
-                continue
-            # paths start root, a; chords to root are only allowed as closure.
-            # frames[i] extends path[i + 1]; blocked holds the vertices
-            # adjacent to the path interior, forbidden forever.
-            if not spent.spend():
-                return out
-            path = [root, a]
-            frames = [(iter(adj[a]), (1 << root) | (1 << a), 0)]
-            while frames:
-                neighbors, visited, blocked = frames[-1]
-                v = path[-1]
-                for w in neighbors:
-                    if w <= root or (visited >> w) & 1 or (blocked >> w) & 1:
-                        continue
-                    if (adj_masks[w] >> root) & 1:
-                        if len(path) >= min_len - 1 and path[1] < w:
-                            out.append(tuple(path) + (w,))
-                        continue
-                    if not spent.spend():
-                        return out
-                    path.append(w)
-                    frames.append((iter(adj[w]), visited | (1 << w),
-                                   blocked | (adj_masks[v] & ~(1 << w))))
-                    break
-                else:
-                    frames.pop()
-                    path.pop()
-    return out
+    for path, closers in _induced_closures(G, min_len, spent):
+        head = tuple(path)
+        while closers:
+            low = closers & -closers
+            out.append(head + (low.bit_length() - 1,))
+            closers ^= low
+    return out, not spent.exhausted
 
 
 def brute_longest_induced_cycle(G: Graph, budget=None) -> SearchResult:
-    """Longest induced cycle via full enumeration; ``expansions`` counts
-    the nodes that enumeration spent."""
+    """Longest induced cycle: the first of maximum length in the order of
+    ``induced_cycles``, found without building that list.  Only one best
+    cycle is kept; ``expansions`` counts the nodes the walk spent."""
     spent = Budget(budget)
-    cycles = _induced_cycles(G, 3, spent)
-    best = max(cycles, key=len, default=None)
+    best = None
+    for path, closers in _induced_closures(G, 3, spent):
+        if best is None or len(path) + 1 > len(best):
+            best = tuple(path) + ((closers & -closers).bit_length() - 1,)
     return SearchResult(best, not spent.exhausted, spent.used)
+
+
+def _induced_closures(G: Graph, min_len: int, spent: Budget):
+    """Depth-first walk over the chordless paths root, a, ... with every
+    vertex above root, yielding (path, closers): path + (w,) is an induced
+    cycle of length >= min_len for each bit w of the closers mask, and
+    w > path[1].  The yielded list is the live path.
+
+    A frame holds two masks of candidates, the neighbors of path[-1] above
+    root that are off the path and not adjacent to its interior: ``ext``
+    (not adjacent to root; the path may grow through them) and ``close``
+    (adjacent to root).  Before descending into extension w the walk yields
+    the closers below w; a finished frame yields the rest.  One node of
+    ``spent`` is charged per path start and per extension, and the walk
+    ends at the first refused node, after the closers below it.
+    """
+    n = G.n
+    if spent.cap is None and n > EXACT_DEFAULT_MAX:
+        raise ValueError(f"n={n} needs an explicit budget")
+    adj_masks = [sum(1 << w for w in row) for row in G.adj]
+    for root in range(n):
+        above = -1 << (root + 1)
+        root_adj = adj_masks[root]
+        starts = root_adj & above
+        while starts:
+            wb = starts & -starts
+            starts ^= wb
+            if not spent.spend():
+                return
+            closing = root_adj & (-1 << wb.bit_length())  # above path[1]
+            path = [root]
+            frames = []  # frames[i] extends path[i + 1]
+            visited, blocked = 1 << root, 0
+            while wb:
+                # enter wb, then open its frame
+                path.append(wb.bit_length() - 1)
+                visited |= wb
+                cand = adj_masks[path[-1]] & above & ~visited & ~blocked
+                close = cand & closing if len(path) >= min_len - 1 else 0
+                frames.append([cand & ~root_adj, close, visited, blocked])
+                # find the next extension, closing finished frames
+                wb = 0
+                while frames and not wb:
+                    frame = frames[-1]
+                    ext, close = frame[0], frame[1]
+                    if ext:
+                        wb = ext & -ext
+                        below = close & (wb - 1)
+                        if below:
+                            yield path, below
+                        frame[0], frame[1] = ext ^ wb, close ^ below
+                    else:
+                        if close:
+                            yield path, close
+                        frames.pop()
+                        path.pop()
+                if wb:
+                    if not spent.spend():
+                        return
+                    visited = frame[2]
+                    blocked = frame[3] | (adj_masks[path[-1]] & ~wb)
 
 
 # --- cycle packings and intersections --------------------------------------

@@ -1,9 +1,10 @@
 """Independent oracle implementations used only by the tests.
 
 These deliberately share no code with the package: second implementations
-of gcd, BFS, cycle enumeration, Hamiltonicity, the expansion minimum and
-the automorphism check, coded in the most naive way available, so that
-agreement between the two routes is meaningful evidence.
+of gcd, BFS (directed and undirected), cycle enumeration, Hamiltonicity,
+the expansion minimum and the automorphism check, coded in the most naive
+way available, so that agreement between the two routes is meaningful
+evidence.
 """
 
 from collections import deque
@@ -17,27 +18,40 @@ def euclid_gcd(a, b):
     return a
 
 
-def naive_distances(D, source):
-    """Dict-based BFS distances; None marks unreachable."""
+def _naive_distances(rows, source):
+    """Dict-based BFS distances over neighbor rows; None marks unreachable."""
     dist = {source: 0}
     q = deque([source])
     while q:
         v = q.popleft()
-        for w in D.out[v]:
+        for w in rows[v]:
             if w not in dist:
                 dist[w] = dist[v] + 1
                 q.append(w)
-    return [dist.get(v) for v in range(D.n)]
+    return [dist.get(v) for v in range(len(rows))]
 
 
-def naive_diameter(D):
+def _naive_diameter(rows):
     best = 0
-    for s in range(D.n):
-        ds = naive_distances(D, s)
+    for s in range(len(rows)):
+        ds = _naive_distances(rows, s)
         if any(d is None for d in ds):
             return None
         best = max(best, max(ds))
     return best
+
+
+def naive_diameter(D):
+    return _naive_diameter(D.out)
+
+
+def naive_graph_distances(G, source):
+    return _naive_distances(G.adj, source)
+
+
+def naive_graph_diameter(G):
+    """Undirected diameter; None if disconnected, 0 for n <= 1."""
+    return _naive_diameter(G.adj)
 
 
 def dfs_all_cycles(D):

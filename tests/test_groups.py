@@ -182,3 +182,13 @@ def test_left_translations_reject_a_non_associative_loop(table, gens):
     spec = CayleySpec(GroupTable(n, table, 0, inverse), gens)
     with pytest.raises(ValueError):
         left_translations(spec)
+
+
+def test_left_translations_reject_an_intransitive_table():
+    # Every row is the product of the generator rows that the orbit closure
+    # builds, yet h -> h*2 is not onto ({2, 2, 1}): the transitivity check
+    # raises ValueError, so it also runs under python -O.
+    table = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+    spec = CayleySpec(GroupTable(3, table, 0, (0, 1, 1)), (1, 2))
+    with pytest.raises(ValueError, match="not transitive"):
+        left_translations(spec)

@@ -1,10 +1,15 @@
+import functools
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vtcycles.cyclegraph import build_cycle_graph, enumerate_directed_cycles
 from vtcycles.digraph import Digraph, Graph, UNKNOWN
 from vtcycles.gadgets import (complete_bidirected, cycle_digraph,
-                              directed_cycle_product, four_cycle_chain)
+                              directed_cycle_product, four_cycle_chain,
+                              toroidal_gadget)
 from vtcycles.oracles import (brute_hamiltonian, brute_longest_cycle,
                               brute_longest_induced_cycle, brute_longest_path,
                               find_path_of_length, induced_cycles,
@@ -92,6 +97,10 @@ def test_find_path_of_length():
     assert find_path_of_length(cycle_digraph(4), 9) is None
 
 
+PETERSEN = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6), (2, 7),
+            (3, 8), (4, 9), (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)]
+
+
 def test_induced_cycles_on_undirected_cycle():
     G = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
     cycles, exact = induced_cycles(G)
@@ -100,9 +109,7 @@ def test_induced_cycles_on_undirected_cycle():
 
 def test_induced_cycles_match_subset_oracle():
     # Petersen graph: all induced cycles found two independent ways
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6), (2, 7),
-             (3, 8), (4, 9), (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)]
-    G = Graph(10, edges)
+    G = Graph(10, PETERSEN)
     mine, exact = induced_cycles(G)
     assert exact
     assert {frozenset(c) for c in mine} == subset_induced_cycles(G)
@@ -233,10 +240,167 @@ def test_deep_induced_cycle_and_packing_searches():
 
 
 def test_longest_induced_cycle_reports_its_expansions():
-    petersen = Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5),
-                          (1, 6), (2, 7), (3, 8), (4, 9), (5, 7), (7, 9),
-                          (9, 6), (6, 8), (8, 5)])
+    petersen = Graph(10, PETERSEN)
     full = brute_longest_induced_cycle(petersen)
     assert full.exact and full.expansions > 0
     cut = brute_longest_induced_cycle(petersen, budget=20)
     assert not cut.exact and cut.expansions == 21
+
+
+# --- the induced-cycle oracle ------------------------------------------------
+
+def _cycle_graph(D):
+    cycles, _ = enumerate_directed_cycles(D)
+    return build_cycle_graph(D, cycles).graph
+
+
+INDUCED_HOSTS = {
+    "petersen": lambda: Graph(10, PETERSEN),
+    "C5": lambda: Graph(5, [(i, (i + 1) % 5) for i in range(5)]),
+    "K4": lambda: Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+    "toroidal1": lambda: _cycle_graph(toroidal_gadget(1)),  # 58 cycles
+    "C2xC8": lambda: _cycle_graph(directed_cycle_product(2, 8)),  # 264 cycles
+}
+
+
+@functools.cache
+def _induced_host(name):
+    return INDUCED_HOSTS[name]()  # graphs are immutable, so shared safely
+
+
+def _digest(cycles):
+    return hashlib.sha256(repr(cycles).encode()).hexdigest()[:16]
+
+
+# Recorded from the enumerate-then-scan oracle that the closure walk
+# replaced.  induced_cycles columns: host, min_len, budget, list length,
+# digest of the list, exact.  brute_longest_induced_cycle columns: host,
+# budget, best, exact, expansions.  Budget None only where n <= 20.
+INDUCED_PARITY = [
+    ('petersen', 3, None, 22, '973f69f8ef5053c3', True),
+    ('petersen', 3, 1, 0, '4f53cda18c2baa0c', False),
+    ('petersen', 3, 2, 0, '4f53cda18c2baa0c', False),
+    ('petersen', 3, 9, 6, '59123c72d38db6e3', False),
+    ('petersen', 3, 40, 14, '96d8e99695fc09b6', False),
+    ('petersen', 3, 1000, 22, '973f69f8ef5053c3', True),
+    ('petersen', 3, 20000, 22, '973f69f8ef5053c3', True),
+    ('petersen', 3, 2000000, 22, '973f69f8ef5053c3', True),
+    ('petersen', 6, None, 10, '2e418546a860d7e1', True),
+    ('petersen', 6, 1, 0, '4f53cda18c2baa0c', False),
+    ('petersen', 6, 2, 0, '4f53cda18c2baa0c', False),
+    ('petersen', 6, 9, 3, 'b207de00fe511c88', False),
+    ('petersen', 6, 40, 7, 'cd3f419cacbd17e9', False),
+    ('petersen', 6, 1000, 10, '2e418546a860d7e1', True),
+    ('petersen', 6, 20000, 10, '2e418546a860d7e1', True),
+    ('petersen', 6, 2000000, 10, '2e418546a860d7e1', True),
+    ('C5', 3, None, 1, '6557cfec0cc67165', True),
+    ('C5', 3, 1, 0, '4f53cda18c2baa0c', False),
+    ('C5', 3, 2, 0, '4f53cda18c2baa0c', False),
+    ('C5', 3, 9, 1, '6557cfec0cc67165', False),
+    ('C5', 3, 40, 1, '6557cfec0cc67165', True),
+    ('C5', 3, 1000, 1, '6557cfec0cc67165', True),
+    ('C5', 3, 20000, 1, '6557cfec0cc67165', True),
+    ('C5', 3, 2000000, 1, '6557cfec0cc67165', True),
+    ('C5', 6, None, 0, '4f53cda18c2baa0c', True),
+    ('C5', 6, 1, 0, '4f53cda18c2baa0c', False),
+    ('C5', 6, 2, 0, '4f53cda18c2baa0c', False),
+    ('C5', 6, 9, 0, '4f53cda18c2baa0c', False),
+    ('C5', 6, 40, 0, '4f53cda18c2baa0c', True),
+    ('C5', 6, 1000, 0, '4f53cda18c2baa0c', True),
+    ('C5', 6, 20000, 0, '4f53cda18c2baa0c', True),
+    ('C5', 6, 2000000, 0, '4f53cda18c2baa0c', True),
+    ('K4', 3, None, 4, '8871c4d2529855c2', True),
+    ('K4', 3, 1, 2, '83050f3c0e9c8e4f', False),
+    ('K4', 3, 2, 3, '52e5c9742129b1bc', False),
+    ('K4', 3, 9, 4, '8871c4d2529855c2', True),
+    ('K4', 3, 40, 4, '8871c4d2529855c2', True),
+    ('K4', 3, 1000, 4, '8871c4d2529855c2', True),
+    ('K4', 3, 20000, 4, '8871c4d2529855c2', True),
+    ('K4', 3, 2000000, 4, '8871c4d2529855c2', True),
+    ('K4', 4, None, 0, '4f53cda18c2baa0c', True),
+    ('K4', 4, 1, 0, '4f53cda18c2baa0c', False),
+    ('K4', 4, 2, 0, '4f53cda18c2baa0c', False),
+    ('K4', 4, 9, 0, '4f53cda18c2baa0c', True),
+    ('K4', 4, 40, 0, '4f53cda18c2baa0c', True),
+    ('K4', 4, 1000, 0, '4f53cda18c2baa0c', True),
+    ('K4', 4, 20000, 0, '4f53cda18c2baa0c', True),
+    ('K4', 4, 2000000, 0, '4f53cda18c2baa0c', True),
+    ('toroidal1', 3, 1, 49, '58129b4c409134b5', False),
+    ('toroidal1', 3, 2, 49, '58129b4c409134b5', False),
+    ('toroidal1', 3, 9, 97, '4c3ed0b2ae39c984', False),
+    ('toroidal1', 3, 40, 198, '21e66f61f38e62fe', False),
+    ('toroidal1', 3, 1000, 6797, '05e426bc4abc23f7', False),
+    ('toroidal1', 3, 20000, 28374, '0970730edd351bb7', True),
+    ('toroidal1', 3, 2000000, 28374, '0970730edd351bb7', True),
+    ('toroidal1', 5, 1, 0, '4f53cda18c2baa0c', False),
+    ('toroidal1', 5, 2, 0, '4f53cda18c2baa0c', False),
+    ('toroidal1', 5, 9, 0, '4f53cda18c2baa0c', False),
+    ('toroidal1', 5, 40, 9, '4b94926403a89f24', False),
+    ('toroidal1', 5, 1000, 164, 'ebb4739f14505402', False),
+    ('toroidal1', 5, 20000, 313, 'dddc2c0c49d37723', True),
+    ('toroidal1', 5, 2000000, 313, 'dddc2c0c49d37723', True),
+    ('C2xC8', 4, 1, 0, '4f53cda18c2baa0c', False),
+    ('C2xC8', 4, 2, 0, '4f53cda18c2baa0c', False),
+    ('C2xC8', 4, 9, 0, '4f53cda18c2baa0c', False),
+    ('C2xC8', 4, 40, 0, '4f53cda18c2baa0c', False),
+    ('C2xC8', 4, 1000, 28, '5757204ed0fa5de5', False),
+    ('C2xC8', 4, 20000, 28, '5757204ed0fa5de5', False),
+    ('C2xC8', 4, 2000000, 28, '5757204ed0fa5de5', True),
+]
+LONGEST_PARITY = [
+    ('petersen', None, (0, 1, 2, 3, 8, 5), True, 100),
+    ('petersen', 1, None, False, 2),
+    ('petersen', 2, None, False, 3),
+    ('petersen', 9, (0, 1, 2, 3, 8, 5), False, 10),
+    ('petersen', 40, (0, 1, 2, 3, 8, 5), False, 41),
+    ('petersen', 1000, (0, 1, 2, 3, 8, 5), True, 100),
+    ('petersen', 20000, (0, 1, 2, 3, 8, 5), True, 100),
+    ('petersen', 2000000, (0, 1, 2, 3, 8, 5), True, 100),
+    ('C5', None, (0, 1, 2, 3, 4), True, 12),
+    ('C5', 1, None, False, 2),
+    ('C5', 2, None, False, 3),
+    ('C5', 9, (0, 1, 2, 3, 4), False, 10),
+    ('C5', 40, (0, 1, 2, 3, 4), True, 12),
+    ('C5', 1000, (0, 1, 2, 3, 4), True, 12),
+    ('C5', 20000, (0, 1, 2, 3, 4), True, 12),
+    ('C5', 2000000, (0, 1, 2, 3, 4), True, 12),
+    ('K4', None, (0, 1, 2), True, 6),
+    ('K4', 1, (0, 1, 2), False, 2),
+    ('K4', 2, (0, 1, 2), False, 3),
+    ('K4', 9, (0, 1, 2), True, 6),
+    ('K4', 40, (0, 1, 2), True, 6),
+    ('K4', 1000, (0, 1, 2), True, 6),
+    ('K4', 20000, (0, 1, 2), True, 6),
+    ('K4', 2000000, (0, 1, 2), True, 6),
+    ('toroidal1', 1, (0, 1, 2), False, 2),
+    ('toroidal1', 2, (0, 1, 2), False, 3),
+    ('toroidal1', 9, (0, 1, 2), False, 10),
+    ('toroidal1', 40, (0, 4, 55, 51, 50), False, 41),
+    ('toroidal1', 1000, (0, 23, 57, 54, 51, 48), False, 1001),
+    ('toroidal1', 20000, (0, 23, 57, 54, 51, 48), True, 3506),
+    ('toroidal1', 2000000, (0, 23, 57, 54, 51, 48), True, 3506),
+    ('C2xC8', 1, (0, 1, 2), False, 2),
+    ('C2xC8', 2, (0, 1, 2), False, 3),
+    ('C2xC8', 9, (0, 1, 2), False, 10),
+    ('C2xC8', 40, (0, 1, 2), False, 41),
+    ('C2xC8', 1000, (0, 128, 263, 225), False, 1001),
+    ('C2xC8', 20000, (0, 128, 263, 225), False, 20001),
+    ('C2xC8', 2000000, (0, 128, 263, 225), True, 36166),
+]
+
+
+@pytest.mark.parametrize("host,min_len,budget,count,digest,exact",
+                         INDUCED_PARITY,
+                         ids=[f"{h}-{m}-{b}" for h, m, b, *_ in INDUCED_PARITY])
+def test_induced_cycles_match_recorded_results(host, min_len, budget, count,
+                                               digest, exact):
+    cycles, found_exact = induced_cycles(_induced_host(host), min_len, budget)
+    assert (len(cycles), _digest(cycles), found_exact) == (count, digest, exact)
+
+
+@pytest.mark.parametrize("host,budget,best,exact,expansions", LONGEST_PARITY,
+                         ids=[f"{h}-{b}" for h, b, *_ in LONGEST_PARITY])
+def test_longest_induced_cycle_matches_recorded_results(host, budget, best,
+                                                        exact, expansions):
+    res = brute_longest_induced_cycle(_induced_host(host), budget)
+    assert (res.best, res.exact, res.expansions) == (best, exact, expansions)

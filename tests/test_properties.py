@@ -15,11 +15,14 @@ from vtcycles.automorphisms import (automorphism_family_by_search,
                                     is_vertex_transitive)
 from vtcycles.digraph import INF, UNKNOWN, Digraph, Graph
 from vtcycles.longcycle import dfs_long_cycle, expansion_exact
-from vtcycles.oracles import brute_longest_cycle, induced_cycles
+from vtcycles.oracles import (brute_longest_cycle,
+                              brute_longest_induced_cycle, induced_cycles)
 from vtcycles.cyclegraph import (build_cycle_graph, enumerate_directed_cycles,
                                  stitch_directed_cycle)
 
-from _independent import dfs_all_cycles, preserves_arc_set, subset_induced_cycles
+from _independent import (dfs_all_cycles, naive_graph_distances,
+                          naive_graph_diameter, preserves_arc_set,
+                          subset_induced_cycles)
 
 
 @st.composite
@@ -63,15 +66,61 @@ def test_cycle_enumeration_matches_plain_dfs(D):
     assert {c.vertices for c in cycles} == dfs_all_cycles(D)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=9), st.data())
-def test_induced_cycle_enumeration_matches_subset_scan(n, data):
-    pairs = [(u, v) for u in range(n) for v in range(n) if u < v]
-    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
-    G = Graph(n, edges)
-    mine, exact = induced_cycles(G)
-    assert exact
-    assert {frozenset(c) for c in mine} == subset_induced_cycles(G)
+@st.composite
+def graphs(draw, max_n=10):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+    return Graph(n, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(), st.integers(min_value=3, max_value=6))
+def test_induced_cycle_enumeration_matches_subset_scan(G, min_len):
+    mine, exact = induced_cycles(G, min_len)
+    assert exact and len(set(mine)) == len(mine)
+    assert ({frozenset(c) for c in mine}
+            == {s for s in subset_induced_cycles(G) if len(s) >= min_len})
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(), st.one_of(st.none(), st.integers(min_value=1, max_value=300)))
+def test_longest_induced_cycle_is_the_first_longest_listed(G, budget):
+    # the same budget truncates the list and the best-cycle walk alike
+    listed, exact = induced_cycles(G, 3, budget)
+    res = brute_longest_induced_cycle(G, budget)
+    assert res.best == max(listed, key=len, default=None)
+    assert res.exact == exact
+    full = brute_longest_induced_cycle(G)
+    assert res.expansions == (full.expansions if exact else budget + 1)
+    # a truncated list is a prefix of the complete one
+    assert listed == induced_cycles(G)[0][:len(listed)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=12))
+def test_graph_diameter_matches_naive_bfs(G):
+    naive = naive_graph_diameter(G)
+    assert G.diameter() == (INF if naive is None else naive)
+    path = G.diameter_path()
+    if naive is None or G.n == 0:
+        assert path is None
+        return
+    # the lexicographically first pair at the diameter, joined by a geodesic
+    dist = [naive_graph_distances(G, s) for s in range(G.n)]
+    pair = min((s, t) for s in range(G.n) for t in range(G.n)
+               if dist[s][t] == naive)
+    assert (path[0], path[-1]) == pair and len(path) - 1 == naive
+    assert all(G.has_edge(u, v) for u, v in zip(path, path[1:]))
+
+
+def test_graph_diameter_edge_cases():
+    assert (Graph(0, []).diameter(), Graph(0, []).diameter_path()) == (0, None)
+    assert (Graph(1, []).diameter(), Graph(1, []).diameter_path()) == (0, [0])
+    two = Graph(2, [])
+    assert (two.diameter(), two.diameter_path()) == (INF, None)
+    split = Graph(5, [(0, 1), (1, 2), (3, 4)])
+    assert (split.diameter(), split.diameter_path()) == (INF, None)
 
 
 @settings(max_examples=30, deadline=None)
