@@ -284,11 +284,19 @@ def cmd_search(args) -> int:
                          "max_p": args.max_p, "pairs": pairs}), args)
         return 0
     rows = perimeter_gap_table(args.max_p)
-    if args.fmt == "json":
-        _emit(dumps({"schema": 1, "search": args.kind, "rows": rows}), args)
-    else:
-        _emit(write_csv(rows, ("p", "q", "d", "n1", "n2", "n", "ln_n", "ratio")),
-              args)
+    # From p = 457 on, n has more digits than the interpreter converts to
+    # text by default (4300).  The guard is against hostile input; these
+    # integers are computed here, so it is lifted while they are written.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if args.fmt == "json":
+            text = dumps({"schema": 1, "search": args.kind, "rows": rows})
+        else:
+            text = write_csv(rows, ("p", "q", "d", "n1", "n2", "n", "ln_n", "ratio"))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    _emit(text, args)
     return 0
 
 

@@ -228,9 +228,10 @@ def cycle_graph_diameter_check(D: Digraph, max_len=None, max_count=None) -> dict
     """
     if not D.is_strongly_connected():
         raise ValueError("host must be strongly connected")
-    cg = cycle_graph_of(D, max_len, max_count)
-    if cg.truncated:
+    cycles, truncated = enumerate_directed_cycles(D, max_len, max_count)
+    if truncated:   # no verdict, so the O(k^2) cycle graph is never built
         return {"complete": False, "verdict": "UNKNOWN"}
+    cg = build_cycle_graph(D, cycles, False, max_len, max_count)
     d = D.directed_diameter()
     circumference = max((c.length for c in cg.cycles), default=0)
     connected = cg.graph.is_connected()

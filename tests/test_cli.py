@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ import sys
 from vtcycles.cli import build_parser, main
 from vtcycles.digraph import read_edge_list
 from vtcycles.gadgets import directed_cycle_product
+from vtcycles.numbergap import perimeter_gap_table
 from vtcycles.verify import SUITES
 
 
@@ -112,6 +115,25 @@ def test_search_outputs(capsys):
                     "--format", "csv")
     assert code == 0
     assert "5,11,1" in out.splitlines()
+
+
+def test_search_theorem11_writes_witnesses_past_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    pqd = [[r["p"], r["q"], r["d"]] for r in perimeter_gap_table(1000)]
+
+    code, out = run(capsys, "search", "theorem11", "--max-p", "1000")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [[int(r[k]) for k in ("p", "q", "d")] for r in rows] == pqd
+    assert max(len(r["n"]) for r in rows) > 4300
+    assert sys.get_int_max_str_digits() == limit
+
+    code, out = run(capsys, "search", "theorem11", "--max-p", "1000",
+                    "--format", "json")
+    assert code == 0
+    rows = json.loads(out, parse_int=str)["rows"]   # n1, n2, n stay text
+    assert [[int(r[k]) for k in ("p", "q", "d")] for r in rows] == pqd
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_reports_are_deterministic(capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+from vtcycles import cyclegraph
 from vtcycles.digraph import Digraph, Graph
 from vtcycles.gadgets import (cycle_digraph, directed_cycle_product,
                               four_cycle_chain, toroidal_gadget,
@@ -135,6 +136,16 @@ def test_diameter_check_toroidal_and_product():
 def test_diameter_check_unknown_when_truncated():
     report = cycle_graph_diameter_check(directed_cycle_product(2, 3),
                                         max_count=3)
+    assert report == {"complete": False, "verdict": "UNKNOWN"}
+
+
+def test_diameter_check_skips_the_cycle_graph_when_truncated(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cycle graph built for a truncated enumeration")
+
+    monkeypatch.setattr(cyclegraph, "build_cycle_graph", refuse)
+    report = cycle_graph_diameter_check(directed_cycle_product(8, 8),
+                                        max_count=50)
     assert report == {"complete": False, "verdict": "UNKNOWN"}
 
 

@@ -1,16 +1,20 @@
+import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vtcycles.gadgets import directed_cycle_product
-from vtcycles.numbergap import (MotohashiPair, is_prime, motohashi_pairs,
-                                perimeter_gap_table, primes_below,
-                                prime_partitionable_check,
+from vtcycles.numbergap import (MotohashiPair, SplitCheck, is_prime,
+                                motohashi_pairs, perimeter_gap_table,
+                                primes_below, prime_partitionable_check,
                                 search_prime_partitionable,
                                 divisibility_gap_bound,
                                 trotter_erdos_necessary,
                                 witness_from_prime_pair)
 from vtcycles.oracles import brute_hamiltonian
+from vtcycles.reports import dumps
 
 from _independent import euclid_gcd, trial_division_prime
 
@@ -151,3 +155,85 @@ def test_perimeter_gap_table():
 def test_motohashi_pair_dataclass():
     pair = MotohashiPair(5, 11, True)
     assert pair.bound_ok
+
+
+# --- the sieve against the per-split definition -------------------------------
+
+def per_split_certificate(d, n1, n2):
+    """(valid, reason, splits) rebuilt split by split with a second gcd."""
+    splits = tuple(SplitCheck(d1, d - d1, euclid_gcd(n1, d1),
+                              euclid_gcd(n2, d - d1)) for d1 in range(1, d))
+    g = euclid_gcd(n1, n2)
+    if g != d:
+        return False, f"gcd(n1,n2) = {g} != d", splits
+    for s in splits:
+        if s.g1 < 2 and s.g2 < 2:
+            return False, f"split ({s.d1},{s.d2}) is coprime to both", splits
+    return True, "", splits
+
+
+@st.composite
+def witness_candidates(draw):
+    """d in 2..80 with each n either arbitrary, a multiple of d, or d times
+    the primes below d on one side of a drawn bipartition (the search
+    family, where valid witnesses live)."""
+    d = draw(st.integers(2, 80))
+    ps = primes_below(d)
+    mask = draw(st.integers(0, (1 << len(ps)) - 1))
+
+    def side(bit):
+        kind = draw(st.sampled_from(("arbitrary", "multiple", "family")))
+        if kind == "arbitrary":
+            return draw(st.integers(0, 10 ** 40))
+        if kind == "multiple":
+            return d * draw(st.integers(0, 10 ** 40))
+        return d * math.prod(p for i, p in enumerate(ps)
+                             if (mask >> i) & 1 == bit)
+
+    return d, side(1), side(0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(witness_candidates())
+def test_check_matches_per_split_definition(case):
+    d, n1, n2 = case
+    cert = prime_partitionable_check(d, n1, n2)
+    valid, reason, splits = per_split_certificate(d, n1, n2)
+    assert (cert.valid, cert.reason) == (valid, reason)
+    assert len(cert.splits) == d - 1
+    assert tuple(cert.splits) == splits and cert.splits == splits
+    assert cert == prime_partitionable_check(d, n1, n2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 400), st.integers(2, 400))
+def test_necessity_condition_matches_per_split_definition(n1, n2):
+    d = euclid_gcd(n1, n2)
+    expected = (False, None)
+    if d >= 2:
+        for d1 in range(1, d):
+            if euclid_gcd(n1, d1) == 1 and euclid_gcd(n2, d - d1) == 1:
+                expected = (True, (d1, d - d1))
+                break
+    assert trotter_erdos_necessary(n1, n2) == expected
+
+
+def test_certificate_splits_are_built_when_read():
+    cert = prime_partitionable_check(16, 880, 8736)
+    assert cert.splits._checks is None          # deciding built nothing
+    assert len(cert.splits) == 15 and cert.splits._checks is None
+    assert cert.splits[0] == SplitCheck(1, 15, 1, 3)
+    assert cert.splits[-1] == SplitCheck(15, 1, 5, 1)
+    assert hash(cert.splits) == hash(tuple(cert.splits))
+
+
+def digest(value):
+    return hashlib.sha256(dumps(value).encode("utf-8")).hexdigest()
+
+
+def test_split_outputs_match_recorded_digests():
+    # recorded with the per-split gcd check that the sieve replaced
+    assert digest(search_prime_partitionable(40)) == (
+        "00fa7dbdb32ef8abceaf08b6556d895175dfd4dc7ea16102cb5377a1755fce4b")
+    assert digest(perimeter_gap_table(300)) == (
+        "fa543ce6f5b08e90c54ac58ce98e24380adf5b55e2915a6e5b25ca9ee5512b41")
