@@ -231,24 +231,22 @@ def cmd_analyze(args) -> int:
 
 # --- verify ------------------------------------------------------------------
 
+# The option each parameterised suite reads; the rest use built-in corpora.
+SUITE_OPTIONS = {"trotter-erdos": "max_order", "divisibility": "max_order",
+                 "figure1": "max_k", "toroidal": "max_n"}
+DIVISIBILITY_MAX_ORDER = 20
+
+
 def cmd_verify(args) -> int:
     log.info("verify %s: start", args.suite)
-    if args.suite == "trotter-erdos":
-        result = V.suite_trotter_erdos(args.max_order)
-    elif args.suite == "divisibility":
-        result = V.suite_divisibility(min(args.max_order, 20))
-    elif args.suite == "figure1":
-        result = V.suite_figure1(args.max_k)
-    elif args.suite == "lemma21":
-        result = V.suite_lemma21()
-    elif args.suite == "lemma24":
-        result = V.suite_lemma24()
-    elif args.suite == "theorem25":
-        result = V.suite_theorem25()
-    elif args.suite == "lemma27":
-        result = V.suite_lemma27()
-    else:
-        result = V.suite_toroidal(args.max_n)
+    if args.suite == "divisibility" and args.max_order > DIVISIBILITY_MAX_ORDER:
+        sys.stderr.write(f"verify divisibility: --max-order {args.max_order} "
+                         f"capped at {DIVISIBILITY_MAX_ORDER}\n")
+        args.max_order = DIVISIBILITY_MAX_ORDER
+    # looked up on the module at call time, so a wrapped suite_* runs
+    suite = getattr(V, V.SUITES[args.suite].__name__)
+    option = SUITE_OPTIONS.get(args.suite)
+    result = suite(getattr(args, option)) if option else suite()
     log.info("verify %s: end, %d rows", args.suite, len(result.rows))
 
     if args.fmt == "json":

@@ -146,27 +146,25 @@ class CycleGraph:
 
     ``graph`` is the undirected adjacency over cycle indices; two indices
     are adjacent iff the cycles share a vertex.  ``membership`` maps each
-    host vertex to the indices of the cycles containing it.  The
-    completeness bounds under which the enumeration ran are recorded so
-    later stages can tell whether conclusions that need completeness are
-    available.
+    host vertex to the indices of the cycles containing it.  ``truncated``
+    records whether the enumeration was cut short, so later stages can tell
+    whether conclusions that need completeness are available.
     """
 
     cycles: tuple
     graph: Graph
     membership: tuple
     truncated: bool
-    max_len: object = None
-    max_count: object = None
 
     @property
     def order(self) -> int:
         return len(self.cycles)
 
 
-def build_cycle_graph(D: Digraph, cycles, truncated=False,
-                      max_len=None, max_count=None) -> CycleGraph:
-    """Intersection adjacency via per-vertex membership bitsets.
+def build_cycle_graph(D: Digraph, cycles, truncated=False) -> CycleGraph:
+    """Intersection adjacency via per-vertex membership bitsets.  The pairs
+    (i, j > i) stream from each cycle's neighbor mask into ``Graph``; no
+    edge list is built.
 
     A fixed-seed spot check re-tests up to 100 random pairs against direct
     set intersection on every build.
@@ -178,15 +176,16 @@ def build_cycle_graph(D: Digraph, cycles, truncated=False,
         for v in c.vertices:
             membership[v].append(i)
             vert_mask[v] |= 1 << i
-    edges = []
-    for i, c in enumerate(cycles):
-        neigh = 0
-        for v in c.vertices:
-            neigh |= vert_mask[v]
-        neigh &= ~((1 << (i + 1)) - 1)  # keep j > i
-        for j in iter_bits(neigh):
-            edges.append((i, j))
-    graph = Graph(k, edges)
+
+    def pairs():
+        for i, c in enumerate(cycles):
+            neigh = 0
+            for v in c.vertices:
+                neigh |= vert_mask[v]
+            for j in iter_bits(neigh & (-1 << (i + 1))):  # keep j > i
+                yield i, j
+
+    graph = Graph(k, pairs())
 
     rng = random.Random(0)
     if k >= 2:
@@ -200,12 +199,12 @@ def build_cycle_graph(D: Digraph, cycles, truncated=False,
                 f"intersection adjacency mismatch at pair ({i},{j})"
 
     return CycleGraph(tuple(cycles), graph, tuple(tuple(m) for m in membership),
-                      truncated, max_len, max_count)
+                      truncated)
 
 
 def cycle_graph_of(D: Digraph, max_len=None, max_count=None) -> CycleGraph:
     cycles, truncated = enumerate_directed_cycles(D, max_len, max_count)
-    return build_cycle_graph(D, cycles, truncated, max_len, max_count)
+    return build_cycle_graph(D, cycles, truncated)
 
 
 def dump_cycle_graph(cg: CycleGraph) -> str:
@@ -231,7 +230,7 @@ def cycle_graph_diameter_check(D: Digraph, max_len=None, max_count=None) -> dict
     cycles, truncated = enumerate_directed_cycles(D, max_len, max_count)
     if truncated:   # no verdict, so the O(k^2) cycle graph is never built
         return {"complete": False, "verdict": "UNKNOWN"}
-    cg = build_cycle_graph(D, cycles, False, max_len, max_count)
+    cg = build_cycle_graph(D, cycles)
     d = D.directed_diameter()
     circumference = max((c.length for c in cg.cycles), default=0)
     connected = cg.graph.is_connected()

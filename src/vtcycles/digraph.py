@@ -7,6 +7,13 @@ its arguments.  Vertex sets are plain ``frozenset`` objects, distances use
 ``INF`` for unreachable pairs, and undecided search verdicts use the
 ``UNKNOWN`` singleton rather than ``None``.  Exhaustive searches count their
 nodes against a ``Budget``.
+
+Bitset traversal goes through two helpers: ``adjacency_masks`` turns
+adjacency rows into per-vertex bitmasks, and ``bitset_bfs`` runs one
+level-synchronous BFS over them, optionally inside an ``allowed`` vertex
+mask.  ``Digraph`` itself stays sparse (sorted tuples and a list BFS):
+hosts reach thousands of vertices, where n masks of n bits each cost more
+than they save.  Callers build masks only where a dense kernel pays off.
 """
 
 from __future__ import annotations
@@ -124,35 +131,48 @@ def _diameter(n: int, bfs_distances):
     return best, pair
 
 
+def adjacency_masks(rows) -> list:
+    """Each adjacency row (of distinct vertex ids) as a bitmask."""
+    return [sum(1 << w for w in row) for row in rows]
+
+
+def bitset_bfs(masks, start: int, allowed: int = -1):
+    """Level-synchronous BFS from ``start`` over the neighbor ``masks``,
+    confined to the vertex mask ``allowed`` (which must contain ``start``):
+    each level is the OR of the frontier's masks minus the vertices already
+    reached.  Returns (reached mask, number of levels after ``start``, last
+    nonempty level mask)."""
+    reached = level = 1 << start
+    depth = 0
+    while True:
+        nxt = 0
+        rest = level
+        while rest:
+            low = rest & -rest
+            nxt |= masks[low.bit_length() - 1]
+            rest ^= low
+        nxt &= allowed & ~reached
+        if not nxt:
+            return reached, depth, level
+        reached |= nxt
+        level = nxt
+        depth += 1
+
+
 def _bitset_diameter(adj):
     """``_diameter`` of the undirected graph with adjacency tuple ``adj``,
-    by level-synchronous BFS over bitsets: each level is the OR of the
-    frontier's neighbor masks minus the vertices already seen.  The
-    eccentricity is the number of levels, and the lowest vertex of the last
-    level is the first one at that distance, as in ``_diameter``."""
-    masks = [sum(1 << w for w in row) for row in adj]
+    by one ``bitset_bfs`` per source.  The eccentricity is the number of
+    levels, and the lowest vertex of the last level is the first one at
+    that distance, as in ``_diameter``."""
+    masks = adjacency_masks(adj)
     full = (1 << len(adj)) - 1
     best, pair = 0, None
     for s in range(len(adj)):
-        seen = level = 1 << s
-        ecc = 0
-        while True:
-            reach = 0
-            rest = level
-            while rest:
-                low = rest & -rest
-                reach |= masks[low.bit_length() - 1]
-                rest ^= low
-            reach &= ~seen
-            if not reach:
-                break
-            seen |= reach
-            level = reach
-            ecc += 1
-        if seen != full:
+        reached, ecc, last = bitset_bfs(masks, s)
+        if reached != full:
             return INF, None
         if ecc > best or pair is None:
-            best, pair = ecc, (s, (level & -level).bit_length() - 1)
+            best, pair = ecc, (s, (last & -last).bit_length() - 1)
     return best, pair
 
 
@@ -275,13 +295,6 @@ class Digraph:
                 return None
         return r
 
-    def out_masks(self) -> list:
-        """Per-vertex out-adjacency as bitmasks (fresh list each call)."""
-        return [sum(1 << w for w in self.out[v]) for v in range(self.n)]
-
-    def in_masks(self) -> list:
-        return [sum(1 << w for w in self.inn[v]) for v in range(self.n)]
-
     def induced_subdigraph(self, keep):
         """Sub-digraph on ``keep``; returns (digraph, old-id list)."""
         keep = sorted(self.check_vertex_set(keep))
@@ -291,31 +304,28 @@ class Digraph:
 
     def underlying_graph(self) -> "Graph":
         """Forget directions; digons collapse to a single edge."""
-        edges = {(min(u, v), max(u, v)) for u, v in self.arcs()}
-        return Graph(self.n, edges)
+        return Graph(self.n, self.arcs())
 
 
 class Graph:
-    """Undirected simple graph on 0..n-1, sorted adjacency."""
+    """Undirected simple graph on 0..n-1, sorted adjacency.  ``edges`` may
+    repeat pairs in either orientation; they are ORed into neighbor masks."""
 
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        seen = set()
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            seen.add((min(u, v), max(u, v)))
-        adj = [[] for _ in range(n)]
-        for u, v in sorted(seen):
-            adj[u].append(v)
-            adj[v].append(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self.n = n
-        self.adj = tuple(tuple(sorted(vs)) for vs in adj)
+        self.adj = tuple(tuple(iter_bits(m)) for m in masks)
 
     @property
     def edge_count(self) -> int:

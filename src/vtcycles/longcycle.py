@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .digraph import (Digraph, DirectedCycle, DirectedPath, directed_cycle,
-                      directed_path, iter_bits, shortest_route)
+from .digraph import (Digraph, DirectedCycle, DirectedPath, adjacency_masks,
+                      bitset_bfs, directed_cycle, directed_path, iter_bits,
+                      shortest_route)
 
 EXPANSION_EXACT_MAX = 20
 
@@ -43,8 +44,8 @@ def expansion_exact(D: Digraph) -> ExpansionReport:
         raise ValueError(
             f"exact expansion scan is capped at n={EXPANSION_EXACT_MAX}; "
             f"got n={n} (use expansion_sampled)")
-    out_masks = D.out_masks()
-    in_masks = D.in_masks()
+    out_masks = adjacency_masks(D.out)
+    in_masks = adjacency_masks(D.inn)
     size_limit = (2 * n) // 3
     total = 1 << n
     out_union = [0] * total
@@ -114,21 +115,6 @@ class CycleSearchResult:
         return self.guarantee is None or self.cycle.length >= self.guarantee
 
 
-def _reachable_mask(out_masks, start_mask, allowed_mask) -> int:
-    """Vertices reachable from start_mask inside allowed_mask (bitset BFS).
-    start_mask must be a subset of allowed_mask; the result includes it."""
-    seen = start_mask
-    frontier = start_mask
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= out_masks[v]
-        nxt &= allowed_mask & ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen
-
-
 def dfs_long_cycle(D: Digraph, alpha: Fraction = None) -> CycleSearchResult:
     """Extend a path while some fresh out-neighbor keeps at least 2n/3
     descendants in the residual digraph, then close a long cycle through
@@ -150,7 +136,7 @@ def dfs_long_cycle(D: Digraph, alpha: Fraction = None) -> CycleSearchResult:
         raise ValueError("need at least 2 vertices")
     if not D.is_strongly_connected():
         raise ValueError("digraph is not strongly connected")
-    out_masks = D.out_masks()
+    out_masks = adjacency_masks(D.out)
     full = (1 << n) - 1
 
     path = [0]
@@ -166,7 +152,7 @@ def dfs_long_cycle(D: Digraph, alpha: Fraction = None) -> CycleSearchResult:
             residual = full & ~path_mask
             if not (residual >> w) & 1:
                 continue
-            desc = _reachable_mask(out_masks, 1 << w, residual)
+            desc = bitset_bfs(out_masks, w, residual)[0]
             if 3 * desc.bit_count() >= 2 * n:
                 chosen = w
                 break
@@ -181,8 +167,7 @@ def dfs_long_cycle(D: Digraph, alpha: Fraction = None) -> CycleSearchResult:
     candidates = [w for w in D.out[t_vertex] if (residual >> w) & 1]
     assert candidates, "stuck endpoint must have out-neighbors off the path"
 
-    desc_sets = {w: _reachable_mask(out_masks, 1 << w, residual)
-                 for w in candidates}
+    desc_sets = {w: bitset_bfs(out_masks, w, residual)[0] for w in candidates}
     S = None
     for w in candidates:
         size = desc_sets[w].bit_count()

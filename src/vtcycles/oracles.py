@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digraph import (Budget, Digraph, DirectedCycle, Graph, UNKNOWN,
-                      directed_cycle, directed_path, iter_bits)
+                      adjacency_masks, directed_cycle, directed_path, iter_bits)
 
 HAM_DP_MAX = 24           # bitmask DP cap
 HAM_BACKTRACK_MAX = 40    # budgeted backtracking cap
@@ -106,7 +106,7 @@ def brute_hamiltonian(D: Digraph, budget=None):
 
 def _hamiltonian_dp(D: Digraph):
     n = D.n
-    out_masks = D.out_masks()
+    out_masks = adjacency_masks(D.out)
     full = (1 << n) - 1
     # layers[k]: masks of size k containing vertex 0 -> bitmask of possible
     # last vertices; only reached states are stored.
@@ -138,11 +138,11 @@ def _hamiltonian_dp(D: Digraph):
         layers.append(layer)
 
     finals = layer.get(full, 0)
-    closers = finals & D.in_masks()[0]
-    if not closers:
+    closer = next((v for v in D.inn[0] if finals >> v & 1), None)
+    if closer is None:
         return None
     # walk back through the layers, lowest-id choices first
-    seq = [next(iter_bits(closers))]
+    seq = [closer]
     mask = full
     for k in range(n - 1, 0, -1):
         prev_mask = mask & ~(1 << seq[-1])
@@ -264,7 +264,7 @@ def _induced_closures(G: Graph, min_len: int, spent: Budget):
     n = G.n
     if spent.cap is None and n > EXACT_DEFAULT_MAX:
         raise ValueError(f"n={n} needs an explicit budget")
-    adj_masks = [sum(1 << w for w in row) for row in G.adj]
+    adj_masks = adjacency_masks(G.adj)
     for root in range(n):
         above = -1 << (root + 1)
         root_adj = adj_masks[root]

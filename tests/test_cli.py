@@ -9,6 +9,7 @@ from vtcycles.cli import build_parser, main
 from vtcycles.digraph import read_edge_list
 from vtcycles.gadgets import directed_cycle_product
 from vtcycles.numbergap import perimeter_gap_table
+from vtcycles import verify
 from vtcycles.verify import SUITES
 
 
@@ -166,6 +167,32 @@ def test_verify_parser_accepts_every_suite():
     parser = build_parser()
     for suite in SUITES:
         assert parser.parse_args(["verify", suite]).suite == suite
+
+
+def test_verify_divisibility_names_its_order_cap(capsys):
+    assert main(["verify", "divisibility", "--max-order", "24"]) == 0
+    capped = capsys.readouterr()
+    assert main(["verify", "divisibility", "--max-order", "20"]) == 0
+    at_cap = capsys.readouterr()
+    assert capped.out == at_cap.out
+    assert capped.err == "verify divisibility: --max-order 24 capped at 20\n"
+    assert at_cap.err == ""
+    assert main(["verify", "divisibility", "--max-order", "16"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_runs_the_suite_found_on_the_module(monkeypatch, capsys):
+    # a wrapper installed on the module (as a tracer does) is the one called
+    calls = []
+    real = verify.suite_figure1
+
+    def wrapped(max_k):
+        calls.append(max_k)
+        return real(max_k)
+
+    monkeypatch.setattr(verify, "suite_figure1", wrapped)
+    code, _ = run(capsys, "verify", "figure1", "--max-k", "2")
+    assert code == 0 and calls == [2]
 
 
 def test_search_motohashi_cap(capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from vtcycles import cyclegraph
@@ -117,6 +119,31 @@ def test_dump_format():
     text = dump_cycle_graph(cg)
     assert text.splitlines()[0] == "cycles 1 truncated 0"
     assert text.splitlines()[1] == "0 1 2"
+
+
+# sha256 of dump_cycle_graph(cycle_graph_of(D)), recorded while the cycle
+# graph was still built from a materialised edge list
+DUMP_DIGESTS = {
+    "C2xC8": ("d0ac3f908e8bb406376ed55372f72c75"
+              "4bcbac1d016a4c59b3178e5da179472d"),
+    "C3xC4": ("1ea1d6b900b5709e601597c59fd0423e"
+              "4418734b18143d31f5990fd5b3b99538"),
+    "toroidal(1)": ("3897a34dca155e8677fa9bc152923db2"
+                    "c62fa56b982621c431537afb09506622"),
+    "chain(3)": ("0adf3ae32a26203b9bd2ccdc8498d7fa"
+                 "30aad7f9fc830c5cb913f34a0cf0d63c"),
+}
+
+
+@pytest.mark.parametrize("name, build", [
+    ("C2xC8", lambda: directed_cycle_product(2, 8)),
+    ("C3xC4", lambda: directed_cycle_product(3, 4)),
+    ("toroidal(1)", lambda: toroidal_gadget(1)),
+    ("chain(3)", lambda: four_cycle_chain(3)),
+])
+def test_cycle_graph_dump_matches_recorded_digest(name, build):
+    text = dump_cycle_graph(cycle_graph_of(build()))
+    assert hashlib.sha256(text.encode()).hexdigest() == DUMP_DIGESTS[name]
 
 
 def test_diameter_check_directed_cycle():

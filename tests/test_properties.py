@@ -7,22 +7,26 @@ oracles or meet the floors they claim.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vtcycles.automorphisms import (automorphism_family_by_search,
                                     is_vertex_transitive)
-from vtcycles.digraph import INF, UNKNOWN, Digraph, Graph
+from vtcycles.digraph import (INF, UNKNOWN, Digraph, Graph, adjacency_masks,
+                              bitset_bfs, iter_bits)
+from vtcycles.gadgets import is_strongly_k_connected
 from vtcycles.longcycle import dfs_long_cycle, expansion_exact
 from vtcycles.oracles import (brute_longest_cycle,
                               brute_longest_induced_cycle, induced_cycles)
 from vtcycles.cyclegraph import (build_cycle_graph, enumerate_directed_cycles,
                                  stitch_directed_cycle)
 
-from _independent import (dfs_all_cycles, naive_graph_distances,
-                          naive_graph_diameter, preserves_arc_set,
-                          subset_induced_cycles)
+from _independent import (_naive_distances, dfs_all_cycles,
+                          naive_graph_distances, naive_graph_diameter,
+                          preserves_arc_set, subset_induced_cycles)
 
 
 @st.composite
@@ -121,6 +125,73 @@ def test_graph_diameter_edge_cases():
     assert (two.diameter(), two.diameter_path()) == (INF, None)
     split = Graph(5, [(0, 1), (1, 2), (3, 4)])
     assert (split.diameter(), split.diameter_path()) == (INF, None)
+
+
+# --- the bitset layer against the code it replaced -------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bitset_bfs_matches_naive_bfs_inside_allowed(data):
+    n = data.draw(st.integers(min_value=1, max_value=12))
+    rows = data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=n, unique=True),
+                              min_size=n, max_size=n))
+    start = data.draw(st.integers(0, n - 1))
+    allowed = data.draw(st.integers(0, (1 << n) - 1)) | (1 << start)
+    inside = [[w for w in row if allowed >> w & 1] if allowed >> v & 1 else []
+              for v, row in enumerate(rows)]
+    dist = _naive_distances(inside, start)
+    depth = max(d for d in dist if d is not None)
+    reached, levels, last = bitset_bfs(adjacency_masks(rows), start, allowed)
+    assert set(iter_bits(reached)) == {v for v, d in enumerate(dist) if d is not None}
+    assert levels == depth
+    assert (last & -last).bit_length() - 1 == dist.index(depth)
+    if allowed == (1 << n) - 1:  # the default confines nothing
+        assert bitset_bfs(adjacency_masks(rows), start) == (reached, levels, last)
+
+
+@st.composite
+def small_digraphs(draw, max_n=9):
+    """Random digraph, over a spanning cycle half the time."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+    if draw(st.booleans()):
+        arcs += [(i, (i + 1) % n) for i in range(n) if n > 1]
+    return Digraph(n, arcs)
+
+
+def strongly_k_connected_by_definition(D, k):
+    """More than k vertices, and strongly connected after removing any set
+    of fewer than k of them, each remainder rebuilt as its own digraph."""
+    return D.n > k and all(
+        D.induced_subdigraph(set(range(D.n)) - set(removed))[0].is_strongly_connected()
+        for r in range(k) for removed in combinations(range(D.n), r))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_digraphs(), st.integers(min_value=1, max_value=3))
+def test_strong_k_connectivity_matches_the_definition(D, k):
+    assert is_strongly_k_connected(D, k) == strongly_k_connected_by_definition(D, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_graph_adjacency_matches_a_set_and_sort_rebuild(data):
+    n = data.draw(st.integers(min_value=0, max_value=12))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
+    seen = {frozenset(e) for e in edges}
+    rebuilt = tuple(tuple(sorted(w for e in seen if v in e for w in e if w != v))
+                    for v in range(n))
+    assert Graph(n, edges).adj == rebuilt
+    assert Graph(n, iter(edges)).adj == rebuilt   # any iterable of pairs
+    with pytest.raises(ValueError, match="out of range"):
+        Graph(n, edges + [(n, 0)])
+    with pytest.raises(ValueError, match="out of range"):
+        Graph(n, edges + [(0, -1)])
+    if n:
+        with pytest.raises(ValueError, match="loop"):
+            Graph(n, edges + [(n - 1, n - 1)])
 
 
 @settings(max_examples=30, deadline=None)
