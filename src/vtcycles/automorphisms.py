@@ -1,9 +1,9 @@
 """Digraph automorphism search by color refinement plus backtracking.
 
 Used to verify vertex transitivity of digraphs that do not come with a
-Cayley certificate.  The certificate is the same as for Cayley digraphs
-(:func:`groups.orbit_family`): a few generating automorphisms, each checked
-against every arc, and the orbit of vertex 0 closed by products of them.
+Cayley certificate.  The certificate is the same as for Cayley digraphs: a
+few generating automorphisms, each checked against every arc, and the orbit
+of vertex 0 under them as a Schreier vector (:func:`groups.schreier_vector`).
 Search supplies the generators, one for each vertex the orbit has not yet
 reached.  Exact for the default budget on hosts up to a few dozen vertices;
 returns UNKNOWN when the node budget runs out.
@@ -12,20 +12,18 @@ returns UNKNOWN when the node budget runs out.
 from __future__ import annotations
 
 from .digraph import Budget, Digraph, UNKNOWN
-from .groups import AutomorphismFamily, orbit_family
+from .groups import AutomorphismFamily, schreier_vector
 
 DEFAULT_BUDGET = 200_000
 
 
-def refine_colors(D: Digraph, colors=None) -> tuple:
+def refine_colors(D: Digraph) -> tuple:
     """Stable 1-WL coloring (out- and in-neighbor multisets).
 
     Color ids are ranks of sorted signatures, so they are canonical and
     automorphism-invariant.
     """
-    if colors is None:
-        colors = [(len(D.out[v]), len(D.inn[v])) for v in range(D.n)]
-    colors = _canonical(colors)
+    colors = _canonical([(len(D.out[v]), len(D.inn[v])) for v in range(D.n)])
     while True:
         sigs = [
             (colors[v],
@@ -116,17 +114,17 @@ def automorphism_family_by_search(D: Digraph, budget=None):
 
     Vertices in distinct refined color classes can never be swapped, which
     gives a fast negative path.  Otherwise 0 -> u is searched only for the
-    u not yet in the orbit of 0 under the automorphisms found so far, and
-    :func:`orbit_family` closes that orbit again after each new one.
+    u not yet in the orbit of 0 under the automorphisms found so far.  The
+    member for u is the product of generators along the Schreier vector.
     """
     colors = refine_colors(D)
     if len(set(colors)) > 1:
         return None
     spent = Budget(DEFAULT_BUDGET if budget is None else budget)
     generators = []
-    members = {0: tuple(range(D.n))}
+    orbit = {0: None}
     for u in range(1, D.n):
-        if u in members:
+        if u in orbit:
             continue
         res = _search(D, list(colors), 0, u, spent)
         if res is UNKNOWN:
@@ -134,5 +132,10 @@ def automorphism_family_by_search(D: Digraph, budget=None):
         if res is None:
             return None
         generators.append(res)
-        members = orbit_family(D, generators)
+        orbit = schreier_vector(generators, 0)
+    AutomorphismFamily(D.n, generators).validate_digraph(D)
+    members = {}
+    for u, step in orbit.items():  # BFS order: parents first
+        members[u] = (tuple(range(D.n)) if step is None
+                      else tuple(map(step[1].__getitem__, members[step[0]])))
     return AutomorphismFamily(D.n, tuple(members[u] for u in range(D.n)))

@@ -18,8 +18,7 @@ from .automorphisms import automorphism_family_by_search
 from .digraph import INF, UNKNOWN, read_edge_list, to_dot, write_edge_list
 from .gadgets import (GadgetVerificationError, four_cycle_chain,
                       directed_cycle_product, toroidal_gadget)
-from .groups import (_left_translations, cayley_digraph, parse_group,
-                     parse_generators)
+from .groups import cayley_digraph, left_translations, parse_cayley_spec
 from .longcycle import (dfs_long_cycle, expansion_check_transitive_bound,
                         expansion_exact, expansion_sampled, long_path,
                         EXPANSION_EXACT_MAX)
@@ -38,7 +37,7 @@ ANALYZE_OPS = ("diameter", "expansion", "dfs-cycle", "long-path",
 def _add_common(parser):
     parser.add_argument("--out", help="write the report here instead of stdout")
     parser.add_argument("--format", dest="fmt", default=None,
-                        choices=["json", "csv", "dot"])
+                        choices=["json", "csv"])
     parser.add_argument("--budget-nodes", type=int, default=2_000_000,
                         help="node-expansion budget for exhaustive searches")
     parser.add_argument("--max-cycles", type=int, default=10 ** 6,
@@ -105,14 +104,9 @@ def cmd_construct(args) -> int:
         if args.kind == "cayley":
             if not args.group or not args.gens:
                 raise ValueError("cayley needs --group and --gens")
-            group = parse_group(args.group)
-            kind = args.group.split()[0]
-            params = [int(t) for t in args.group.split()[1:]]
-            gens = parse_generators(args.gens, kind, params)
-            from .groups import CayleySpec
-            spec = CayleySpec(group, tuple(gens))
+            spec = parse_cayley_spec(f"{args.group}\n{args.gens}")
             D = cayley_digraph(spec)
-            _left_translations(spec, D)  # raises unless transitive
+            left_translations(spec)  # raises unless transitive
             post = {"regular": D.regularity(), "generators": len(spec.generators),
                     "transitive_certificate": True}
             name = f"cayley({args.group};{args.gens})"

@@ -202,8 +202,8 @@ def build_cycle_graph(D: Digraph, cycles, truncated=False) -> CycleGraph:
                       truncated)
 
 
-def cycle_graph_of(D: Digraph, max_len=None, max_count=None) -> CycleGraph:
-    cycles, truncated = enumerate_directed_cycles(D, max_len, max_count)
+def cycle_graph_of(D: Digraph, max_count=None) -> CycleGraph:
+    cycles, truncated = enumerate_directed_cycles(D, max_count=max_count)
     return build_cycle_graph(D, cycles, truncated)
 
 
@@ -218,7 +218,7 @@ def dump_cycle_graph(cg: CycleGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cycle_graph_diameter_check(D: Digraph, max_len=None, max_count=None) -> dict:
+def cycle_graph_diameter_check(D: Digraph, max_count=None) -> dict:
     """Diameter of the cycle graph against the d/l - 1 floor.
 
     For a strongly connected host with complete enumeration the cycle graph
@@ -227,7 +227,7 @@ def cycle_graph_diameter_check(D: Digraph, max_len=None, max_count=None) -> dict
     """
     if not D.is_strongly_connected():
         raise ValueError("host must be strongly connected")
-    cycles, truncated = enumerate_directed_cycles(D, max_len, max_count)
+    cycles, truncated = enumerate_directed_cycles(D, max_count=max_count)
     if truncated:   # no verdict, so the O(k^2) cycle graph is never built
         return {"complete": False, "verdict": "UNKNOWN"}
     cg = build_cycle_graph(D, cycles)
@@ -427,11 +427,12 @@ class _StepFailure(Exception):
 
 DIAMETER_FLOOR = 20
 INDUCED_SLACK = 17
+FALLBACK_BUDGET = 2_000_000     # node budget of the exact induced-cycle oracle
 
 
 def induced_cycle_via_symmetry(G: Graph, fam: AutomorphismFamily,
                                path_budget: int = 200_000,
-                               fallback_budget: int = 2_000_000):
+                               fallback_budget: int = FALLBACK_BUDGET):
     """An induced cycle of length at least diameter - 17 in a connected,
     nearly transitive graph of diameter at least 20.
 
@@ -707,9 +708,7 @@ def _longest_induced_path_with_geodesic_tail(G: Graph, q: int, seed,
 # --- the full long-cycle pipeline -------------------------------------------
 
 def pipeline_n13(D: Digraph, fam: AutomorphismFamily = None,
-                 max_cycles: int = DEFAULT_MAX_COUNT,
-                 path_budget: int = 200_000,
-                 fallback_budget: int = 2_000_000):
+                 max_cycles: int = DEFAULT_MAX_COUNT):
     """End-to-end long directed cycle search for a certified
     vertex-transitive host, branching on the directed diameter.
 
@@ -765,8 +764,7 @@ def pipeline_n13(D: Digraph, fam: AutomorphismFamily = None,
             report["circumference"] = incidental.length
             cg_diam = cg.graph.diameter()
             report["cycle_graph_diameter"] = cg_diam
-            stitched = _large_branch_stitch(
-                D, cg, fam, cg_diam, path_budget, fallback_budget, report)
+            stitched = _large_branch_stitch(D, cg, fam, cg_diam, report)
             if stitched is not None:
                 candidates.append(stitched)
                 report["stitched_length"] = stitched.length
@@ -779,18 +777,16 @@ def pipeline_n13(D: Digraph, fam: AutomorphismFamily = None,
     return best, report
 
 
-def _large_branch_stitch(D, cg, fam, cg_diam, path_budget, fallback_budget,
-                         report):
+def _large_branch_stitch(D, cg, fam, cg_diam, report):
     induced = None
     if fam is not None and cg_diam != INF and cg_diam >= DIAMETER_FLOOR:
         lifted = lift_automorphisms(D, fam, cg)
         report["near_transitive"] = is_nearly_transitive(cg.graph, lifted)
         if report["near_transitive"]:
-            induced, sym_report = induced_cycle_via_symmetry(
-                cg.graph, lifted, path_budget, fallback_budget)
+            induced, sym_report = induced_cycle_via_symmetry(cg.graph, lifted)
             report["induced_mode"] = sym_report["mode"]
     if induced is None:
-        res = brute_longest_induced_cycle(cg.graph, budget=fallback_budget)
+        res = brute_longest_induced_cycle(cg.graph, budget=FALLBACK_BUDGET)
         report["induced_mode"] = "oracle"
         if res.best is None or len(res.best) < 4:
             report["induced_available"] = False

@@ -10,9 +10,9 @@ raises, it is never silently ignored.
 from __future__ import annotations
 
 from .digraph import Digraph, adjacency_masks, bitset_bfs, cartesian_product
-from .groups import (AutomorphismFamily, CayleySpec, _left_translations,
-                     cayley_digraph, cyclic_group, direct_product,
-                     left_translations, product_element)
+from .groups import (AutomorphismFamily, CayleySpec, cayley_digraph,
+                     cyclic_group, direct_product, left_translations,
+                     product_element)
 from .oracles import brute_hamiltonian, find_path_of_length
 
 
@@ -151,7 +151,7 @@ def toroidal_gadget(n: int, verify: bool = True) -> Digraph:
         if D.n != 8 * n + 4:
             raise GadgetVerificationError(f"vertex count {D.n} != {8 * n + 4}")
         try:
-            _left_translations(spec, D)
+            left_translations(spec)
         except ValueError as err:
             raise GadgetVerificationError(f"translations: {err}") from err
         if n <= 2 and brute_hamiltonian(D) is not None:

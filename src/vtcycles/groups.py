@@ -1,5 +1,6 @@
 """Finite groups as multiplication tables, Cayley digraphs, and the
-left-translation automorphism families that certify vertex transitivity.
+left-translation automorphism families that certify vertex transitivity
+through a Schreier vector (:func:`schreier_vector`).
 
 Group elements are plain ids into a canonical ordering; there is no symbolic
 group theory here because everything downstream only needs multiplication
@@ -9,8 +10,8 @@ and inversion.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .digraph import Digraph
 
@@ -117,22 +118,12 @@ def cyclic_group(n: int) -> GroupTable:
 
 def direct_product(g1: GroupTable, g2: GroupTable) -> GroupTable:
     """Direct product with lexicographic pair ordering: (a,b) -> a*|G2|+b."""
-    n1, n2 = g1.order, g2.order
-    n = n1 * n2
-    mult = [[0] * n for _ in range(n)]
-    for a1 in range(n1):
-        for a2 in range(n2):
-            a = a1 * n2 + a2
-            row = mult[a]
-            for b1 in range(n1):
-                c1 = g1.mult[a1][b1]
-                base = c1 * n2
-                for b2 in range(n2):
-                    row[b1 * n2 + b2] = base + g2.mult[a2][b2]
-    identity = g1.identity * n2 + g2.identity
-    inverse = tuple(g1.inverse[a // n2] * n2 + g2.inverse[a % n2] for a in range(n))
-    return GroupTable(n, tuple(tuple(r) for r in mult), identity, inverse,
-                      f"{g1.name}x{g2.name}")
+    n2 = g2.order
+    mult = tuple(tuple(c1 * n2 + c2 for c1 in row1 for c2 in row2)
+                 for row1 in g1.mult for row2 in g2.mult)
+    inverse = tuple(i1 * n2 + i2 for i1 in g1.inverse for i2 in g2.inverse)
+    return GroupTable(g1.order * n2, mult, g1.identity * n2 + g2.identity,
+                      inverse, f"{g1.name}x{g2.name}")
 
 
 def dihedral_group(m: int) -> GroupTable:
@@ -167,8 +158,8 @@ class CayleySpec:
     """A group plus a generating set; the certified source of transitivity.
 
     The identity is rejected as a generator (it would create self-loops),
-    and the set must generate the whole group, which is verified by closure
-    BFS at construction.
+    and the set must generate the whole group: the orbit of the identity
+    under right multiplication by the generators must be all of it.
     """
 
     group: GroupTable
@@ -185,18 +176,11 @@ class CayleySpec:
                 raise ValueError(f"generator {s} out of range")
         if g.identity in gens:
             raise ValueError("identity generator would create self-loops")
-        reached = {g.identity}
-        frontier = [g.identity]
-        while frontier:
-            x = frontier.pop()
-            for s in gens:
-                y = g.mult[x][s]
-                if y not in reached:
-                    reached.add(y)
-                    frontier.append(y)
-        if len(reached) != g.order:
+        columns = [[row[s] for row in g.mult] for s in gens]
+        reached = len(schreier_vector(columns, g.identity))
+        if reached != g.order:
             raise ValueError(
-                f"generators {gens} generate only {len(reached)} of "
+                f"generators {gens} generate only {reached} of "
                 f"{g.order} elements")
 
 
@@ -220,7 +204,7 @@ class AutomorphismFamily:
 
     Validation against a concrete host lives in :meth:`validate_digraph` /
     :meth:`validate_graph`; constructors that hand out families are expected
-    to call one of them, directly or through :func:`orbit_family`.
+    to call one of them.
     """
 
     n: int
@@ -229,8 +213,9 @@ class AutomorphismFamily:
     def __post_init__(self):
         perms = tuple(tuple(p) for p in self.permutations)
         object.__setattr__(self, "permutations", perms)
+        points = list(range(self.n))
         for p in perms:
-            if len(p) != self.n or sorted(p) != list(range(self.n)):
+            if len(p) != self.n or sorted(p) != points:
                 raise ValueError("family member is not a permutation")
 
     def __len__(self):
@@ -255,49 +240,50 @@ class AutomorphismFamily:
                         f"permutation does not preserve edge ({u},{v})")
 
     def is_transitive(self) -> bool:
-        """True iff for every ordered pair (u,v) some member maps u to v."""
-        full = frozenset(range(self.n))
-        for u in range(self.n):
-            if frozenset(p[u] for p in self.permutations) != full:
-                return False
-        return True
+        """True iff for every ordered pair (u,v) some member maps u to v,
+        i.e. every column of the members holds all n vertices."""
+        if not self.permutations:
+            return self.n == 0
+        return all(len(set(col)) == self.n for col in zip(*self.permutations))
 
 
-def orbit_family(D: Digraph, generators, root: int = 0) -> dict:
-    """Map each vertex u in the orbit of root to an automorphism of D that
-    carries root to u.  Each generator is checked against every arc; when
-    generator p first maps v to w, the member for w is p after the member
-    for v, so every member preserves every arc as well."""
-    AutomorphismFamily(D.n, generators).validate_digraph(D)
-    members = {root: tuple(range(D.n))}
-    frontier = deque([root])
-    while frontier:
-        v = frontier.popleft()
-        for p in generators:
+def schreier_vector(maps, root: int) -> dict:
+    """Breadth-first orbit of root under maps (sequences indexed by point).
+
+    Each point reached maps to the (point, map) pair that first reached it,
+    and root maps to None.  Keys are in BFS order, so every point comes
+    after its parent."""
+    vector = {root: None}
+    queue = [root]
+    for v in queue:
+        for p in maps:
             w = p[v]
-            if w not in members:
-                members[w] = tuple(p[x] for x in members[v])
-                frontier.append(w)
-    return members
+            if w not in vector:
+                vector[w] = (v, p)
+                queue.append(w)
+    return vector
 
 
 def left_translations(spec: CayleySpec) -> AutomorphismFamily:
     """Left multiplication maps x -> g*x, one per group element.
 
     Translations by generators preserve arcs because (sx)^{-1}(sy) =
-    x^{-1}y; every other row must equal their product built by
-    :func:`orbit_family`, and the family must act transitively.
+    x^{-1}y, which is checked against every arc.  Every other row must be
+    its Schreier-vector parent's row followed by that edge's generator, and
+    the family must act transitively; ``ValueError`` otherwise.
     """
-    return _left_translations(spec, cayley_digraph(spec))
-
-
-def _left_translations(spec: CayleySpec, D: Digraph) -> AutomorphismFamily:
-    """:func:`left_translations` certified against ``D``, the already built
-    ``cayley_digraph(spec)``; raises ``ValueError`` if any check fails."""
     g = spec.group
-    members = orbit_family(D, [g.mult[s] for s in spec.generators], g.identity)
-    for h in range(g.order):
-        if members.get(h) != g.mult[h]:
+    D = cayley_digraph(spec)
+    gens = [g.mult[s] for s in spec.generators]
+    AutomorphismFamily(g.order, gens).validate_digraph(D)
+    vector = schreier_vector(gens, g.identity)
+    if len(vector) != g.order:
+        h = next(h for h in range(g.order) if h not in vector)
+        raise ValueError(f"row {h} is not a product of generator rows")
+    identity = tuple(range(g.order))
+    for h, step in vector.items():  # parents first: composed rows are checked
+        if g.mult[h] != (identity if step is None else
+                         itemgetter(*g.mult[step[0]])(step[1])):
             raise ValueError(f"row {h} is not a product of generator rows")
     fam = AutomorphismFamily(g.order, g.mult)
     if not fam.is_transitive():

@@ -2,7 +2,8 @@
 
 These deliberately share no code with the package: second implementations
 of gcd, BFS (directed and undirected), cycle enumeration, Hamiltonicity,
-the expansion minimum and the automorphism check, coded in the most naive
+the expansion minimum, the automorphism check and the left-translation
+certificate, coded in the most naive
 way available, so that agreement between the two routes is meaningful
 evidence.
 """
@@ -89,6 +90,36 @@ def preserves_arc_set(D, perm):
     arcs = {(u, w) for u in range(D.n) for w in D.out[u]}
     return (sorted(perm) == list(range(D.n))
             and {(perm[u], perm[w]) for u, w in arcs} == arcs)
+
+
+def left_translation_certificate(mult, identity, generators):
+    """Whether the rows of a multiplication table pass the left-translation
+    certificate: every generator row is a permutation mapping each arc
+    x -> x*s of the Cayley digraph onto an arc; every row equals the product
+    of generator rows built by breadth-first search from the identity (the
+    generators taken in increasing order, each vertex keeping the product
+    that reached it first); and every column holds every element."""
+    n = len(mult)
+    full = list(range(n))
+    gens = sorted(set(generators))
+    arcs = {(x, mult[x][s]) for x in range(n) for s in gens}
+    for s in gens:
+        row = mult[s]
+        if sorted(row) != full or any((row[u], row[v]) not in arcs
+                                      for u, v in arcs):
+            return False
+    members = {identity: tuple(full)}
+    q = deque([identity])
+    while q:
+        v = q.popleft()
+        for s in gens:
+            w = mult[s][v]
+            if w not in members:
+                members[w] = tuple(mult[s][x] for x in members[v])
+                q.append(w)
+    if any(members.get(h) != tuple(mult[h]) for h in range(n)):
+        return False
+    return all(sorted(mult[h][u] for h in range(n)) == full for u in range(n))
 
 
 def subset_expansion_minimum(D):

@@ -1,3 +1,5 @@
+import hashlib
+
 from vtcycles.automorphisms import (automorphism_family_by_search,
                                     find_automorphism, is_vertex_transitive,
                                     refine_colors)
@@ -110,3 +112,34 @@ def test_family_by_search_is_unknown_exactly_where_the_verdict_is():
     fam = automorphism_family_by_search(D, budget=100)
     assert fam is not UNKNOWN and fam.is_transitive()
     assert [p[0] for p in fam.permutations] == list(range(D.n))
+
+
+# sha256 of repr(automorphism_family_by_search(D, budget).permutations) at
+# budgets None and 100, recorded while the search closed its orbit again
+# after every generator it found.
+RECORDED_FAMILIES = {
+    "C3xC4": ("16f63672c1282e23a82f12165ca4caadc308195be475961347cdbd4f614dac66",
+              "16f63672c1282e23a82f12165ca4caadc308195be475961347cdbd4f614dac66"),
+    "toroidal(2)": ("f4e1875bb035600baddffdba6e79b3e8428b6f20fcb45ac79114c2417980f650",
+                    "UNKNOWN"),
+    "K5": ("d80f3ef656904acdf5f35d47ca7d8670def97dc396823aba8e135a6d49b0c0b6",
+           "d80f3ef656904acdf5f35d47ca7d8670def97dc396823aba8e135a6d49b0c0b6"),
+    "C12xC12": ("3afa7a6c00120c9ae2d2f689e2aef0f0b564a85018b5259b7b413932ef30de06",
+                "UNKNOWN"),
+    "D5<r,s>": ("2cdd5a9027f9cbac3ffc9545c2bece85b5196554f35c97ab1554787b131fe1c2",
+                "2cdd5a9027f9cbac3ffc9545c2bece85b5196554f35c97ab1554787b131fe1c2"),
+    "Z12<2,3>": ("1b99427c98027f981e00b83b90a565e76a6f15c796f3314111c741782aac4057",
+                 "1b99427c98027f981e00b83b90a565e76a6f15c796f3314111c741782aac4057"),
+}
+
+
+def test_family_by_search_members_match_recorded_digests():
+    hosts = _recorded_hosts()
+    hosts["C12xC12"] = directed_cycle_product(12, 12)
+    for name, recorded in RECORDED_FAMILIES.items():
+        got = []
+        for budget in (None, 100):
+            fam = automorphism_family_by_search(hosts[name], budget)
+            got.append("UNKNOWN" if fam is UNKNOWN else hashlib.sha256(
+                repr(fam.permutations).encode()).hexdigest())
+        assert tuple(got) == recorded, name

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from vtcycles.cli import build_parser, main
 from vtcycles.digraph import read_edge_list
 from vtcycles.gadgets import directed_cycle_product
@@ -63,6 +65,45 @@ def test_construct_failure_exits_nonzero(capsys):
     code, out = run(capsys, "construct", "toroidal", "--n", "0")
     assert code == 2
     assert "error" in json.loads(out)
+
+
+# Errors of failing `construct cayley` calls, recorded while the command
+# parsed --group and --gens itself instead of through parse_cayley_spec.
+CAYLEY_CONSTRUCT_ERRORS = [
+    (["--group", "quaternion 8", "--gens", "1"],
+     "unrecognized group spec 'quaternion 8'"),
+    (["--group", "cyclic x", "--gens", "1"],
+     "invalid literal for int() with base 10: 'x'"),
+    (["--group", "cyclic 8", "--gens", "2"],
+     "generators (2,) generate only 4 of 8 elements"),
+    (["--group", "cyclic 8", "--gens", "0,1"],
+     "identity generator would create self-loops"),
+    (["--group", "product 2 3", "--gens", "1,2,3"],
+     "too many values to unpack (expected 2)"),
+    (["--group", "product 2 3", "--gens", "1"],
+     "not enough values to unpack (expected 2, got 1)"),
+    (["--group", "cyclic 8"], "cayley needs --group and --gens"),
+]
+
+
+@pytest.mark.parametrize("argv, error", CAYLEY_CONSTRUCT_ERRORS)
+def test_construct_cayley_errors_match_recorded_table(capsys, argv, error):
+    code, out = run(capsys, "construct", "cayley", *argv)
+    assert code == 2
+    assert json.loads(out) == {"schema": 1, "error": error}
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "product", "--n1", "2", "--n2", "3"],
+    ["analyze", "g.edges"],
+    ["verify", "figure1"],
+    ["search", "motohashi"],
+])
+def test_format_dot_is_rejected_by_the_parser(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--format", "dot"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'dot'" in capsys.readouterr().err
 
 
 def test_analyze_diameter_and_expansion(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vtcycles.digraph import Digraph
 from vtcycles.gadgets import cycle_digraph, directed_cycle_product, product_cayley_spec
@@ -7,6 +9,8 @@ from vtcycles.groups import (AutomorphismFamily, CayleySpec, GroupAxiomError,
                              dihedral_group, direct_product, format_cayley_spec,
                              group_from_table, left_translations,
                              parse_cayley_spec)
+
+from _independent import left_translation_certificate
 
 
 def test_trivial_group():
@@ -74,6 +78,12 @@ def test_cayley_product_identification():
 def test_cayley_rejects_non_generating_set():
     with pytest.raises(ValueError, match="generate"):
         CayleySpec(cyclic_group(4), (2,))
+
+
+def test_cayley_rejects_non_generating_set_with_its_orbit_size():
+    with pytest.raises(ValueError) as err:
+        CayleySpec(cyclic_group(8), (2,))
+    assert str(err.value) == "generators (2,) generate only 4 of 8 elements"
 
 
 def test_cayley_rejects_identity_generator():
@@ -184,6 +194,28 @@ def test_left_translations_reject_a_non_associative_loop(table, gens):
         left_translations(spec)
 
 
+# Raw tables that exactly one check rejects.  In the loop, every row is the
+# product the orbit builds and every column is a permutation, but the row of
+# generator 1 breaks an arc.  In the rotated Z3 table the declared identity's
+# row is not the identity map; all else holds.
+ONE_CHECK = [
+    (((0, 1, 2, 3, 4, 5), (1, 0, 4, 2, 5, 3), (2, 3, 0, 5, 1, 4),
+      (3, 2, 5, 4, 0, 1), (4, 5, 1, 0, 3, 2), (5, 4, 3, 1, 2, 0)), (1, 4),
+     "does not preserve arc"),
+    (((1, 2, 0), (2, 0, 1), (0, 1, 2)), (1,), "row 0 is not a product"),
+]
+
+
+@pytest.mark.parametrize("table, gens, message", ONE_CHECK)
+def test_left_translations_reject_what_only_one_check_catches(table, gens,
+                                                               message):
+    n = len(table)
+    spec = CayleySpec(GroupTable(n, table, 0, tuple(range(n))), gens)
+    assert not left_translation_certificate(table, 0, gens)
+    with pytest.raises(ValueError, match=message):
+        left_translations(spec)
+
+
 def test_left_translations_reject_an_intransitive_table():
     # Every row is the product of the generator rows that the orbit closure
     # builds, yet h -> h*2 is not onto ({2, 2, 1}): the transitivity check
@@ -192,3 +224,90 @@ def test_left_translations_reject_an_intransitive_table():
     spec = CayleySpec(GroupTable(3, table, 0, (0, 1, 1)), (1, 2))
     with pytest.raises(ValueError, match="not transitive"):
         left_translations(spec)
+
+
+def test_direct_product_matches_pair_arithmetic():
+    factors = ([cyclic_group(n) for n in range(1, 13)]
+               + [dihedral_group(m) for m in range(1, 7)])
+    for g1 in factors:
+        for g2 in factors:
+            pairs = [(a1, a2) for a1 in range(g1.order) for a2 in range(g2.order)]
+            index = {pair: i for i, pair in enumerate(pairs)}
+            g = direct_product(g1, g2)
+            assert g.order == len(pairs)
+            assert g.mult == tuple(
+                tuple(index[(g1.mult[a1][b1], g2.mult[a2][b2])] for b1, b2 in pairs)
+                for a1, a2 in pairs)
+            assert g.inverse == tuple(index[(g1.inverse[a1], g2.inverse[a2])]
+                                      for a1, a2 in pairs)
+            assert g.identity == index[(g1.identity, g2.identity)]
+            assert g.name == f"{g1.name}x{g2.name}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.permutations(range(n)), max_size=4))))
+@example((0, []))
+@example((0, [[]]))
+@example((3, []))
+def test_is_transitive_matches_the_per_vertex_definition(case):
+    n, perms = case
+    full = frozenset(range(n))
+    expected = all(frozenset(p[u] for p in perms) == full for u in range(n))
+    assert AutomorphismFamily(n, perms).is_transitive() == expected
+
+
+GROUPS = {"cyclic": cyclic_group, "dihedral": dihedral_group,
+          "product": lambda a, b: direct_product(cyclic_group(a), cyclic_group(b))}
+
+
+@st.composite
+def perturbed_cayley_inputs(draw):
+    """A small group, 0-2 swaps of two entries inside random rows of its
+    table, and 1-2 random generators."""
+    kind = draw(st.sampled_from(sorted(GROUPS)))
+    if kind == "product":
+        a = draw(st.integers(min_value=1, max_value=6))
+        params = (a, draw(st.integers(min_value=1, max_value=12 // a)))
+    else:
+        params = (draw(st.integers(min_value=1,
+                                   max_value=12 if kind == "cyclic" else 6)),)
+    n = GROUPS[kind](*params).order
+    point = st.integers(min_value=0, max_value=n - 1)
+    swaps = draw(st.lists(st.tuples(point, point, point), max_size=2))
+    gens = draw(st.lists(point, min_size=1, max_size=2))
+    return kind, params, tuple(swaps), tuple(gens)
+
+
+def test_left_translations_match_the_certificate_definition():
+    verdicts = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_cayley_inputs())
+    @example(("cyclic", (5,), (), (1,)))
+    @example(("cyclic", (5,), ((2, 3, 4),), (1,)))
+    def check(case):
+        kind, params, swaps, gens = case
+        g = GROUPS[kind](*params)
+        rows = [list(row) for row in g.mult]
+        for r, i, j in swaps:
+            rows[r][i], rows[r][j] = rows[r][j], rows[r][i]
+        table = tuple(tuple(row) for row in rows)
+        try:
+            spec = CayleySpec(GroupTable(g.order, table, g.identity, g.inverse),
+                              gens)
+            cayley_digraph(spec)
+        except (ValueError, AssertionError):
+            return  # not a Cayley digraph input at all
+        expected = left_translation_certificate(table, g.identity, gens)
+        try:
+            fam = left_translations(spec)
+        except ValueError:
+            fam = None
+        assert (fam is not None) == expected
+        if fam is not None:
+            assert fam.permutations == table
+        verdicts.add(expected)
+
+    check()
+    assert verdicts == {True, False}
