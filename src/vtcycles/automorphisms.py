@@ -5,8 +5,11 @@ Cayley certificate.  The certificate is the same as for Cayley digraphs: a
 few generating automorphisms, each checked against every arc, and the orbit
 of vertex 0 under them as a Schreier vector (:func:`groups.schreier_vector`).
 Search supplies the generators, one for each vertex the orbit has not yet
-reached.  Exact for the default budget on hosts up to a few dozen vertices;
-returns UNKNOWN when the node budget runs out.
+reached.  The family certifies transitivity as a group, through that
+Schreier orbit; its members need not pass the set test
+``AutomorphismFamily.is_transitive()`` (the families found for K5, K6 and
+toroidal(1) do not).  Exact for the default budget on hosts up to a few
+dozen vertices; returns UNKNOWN when the node budget runs out.
 """
 
 from __future__ import annotations

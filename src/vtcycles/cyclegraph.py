@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .digraph import (Budget, Digraph, DirectedCycle, Graph, INF,
-                      canonical_rotation, directed_cycle, iter_bits)
+                      adjacency_masks, bitset_bfs, canonical_rotation,
+                      directed_cycle, iter_bits)
 from .groups import AutomorphismFamily
 from .longcycle import dfs_long_cycle
 from .oracles import brute_longest_induced_cycle, simple_paths
@@ -71,14 +72,18 @@ def _johnson(D: Digraph):
     iterates the out-neighbors of ``path[i]``.  Yields each circuit as the
     live path.  A vertex whose subtree closed a circuit is unblocked on the
     way back, any other one waits on the B-lists of its out-neighbors."""
-    n = D.n
-    for root in range(n):
-        scc = _scc_of(D, root)
-        adj = {v: tuple(w for w in D.out[v] if w in scc) for v in scc}
+    out_masks, in_masks = adjacency_masks(D.out), adjacency_masks(D.inn)
+    for root in range(D.n):
+        # root's strong component among root..n-1: what root reaches inside
+        # the set reaching root (a path to a member only passes through it)
+        back = bitset_bfs(in_masks, root, -1 << root)[0]
+        scc = bitset_bfs(out_masks, root, back)[0]
+        adj = {v: tuple(w for w in D.out[v] if scc >> w & 1)
+               for v in iter_bits(scc)}
         if not adj[root]:
             continue
-        blocked = {v: False for v in scc}
-        blist = {v: set() for v in scc}
+        blocked = {v: False for v in adj}
+        blist = {v: set() for v in adj}
         path = [root]
         frames = [iter(adj[root])]
         blocked[root] = True
@@ -120,22 +125,6 @@ def _unblock(v, blocked, blist) -> None:
                 blocked[w] = False
                 todo.append(w)
         blist[u].clear()
-
-
-def _scc_of(D: Digraph, root: int) -> frozenset:
-    """Strong component of ``root`` in the subgraph induced on {root..n-1}."""
-    def reach(adj):
-        seen = {root}
-        frontier = [root]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w >= root and w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return seen
-
-    return frozenset(reach(D.out) & reach(D.inn))
 
 
 # --- the intersection graph -------------------------------------------------
@@ -370,7 +359,7 @@ def lift_automorphisms(D: Digraph, fam: AutomorphismFamily,
             images.append(j)
         lifted.append(tuple(images))
     out = AutomorphismFamily(cg.order, tuple(lifted))
-    out.validate_graph(cg.graph)
+    out.validate_digraph(cg.graph)
     return out
 
 
@@ -431,8 +420,7 @@ FALLBACK_BUDGET = 2_000_000     # node budget of the exact induced-cycle oracle
 
 
 def induced_cycle_via_symmetry(G: Graph, fam: AutomorphismFamily,
-                               path_budget: int = 200_000,
-                               fallback_budget: int = FALLBACK_BUDGET):
+                               path_budget: int = 200_000):
     """An induced cycle of length at least diameter - 17 in a connected,
     nearly transitive graph of diameter at least 20.
 
@@ -461,7 +449,7 @@ def induced_cycle_via_symmetry(G: Graph, fam: AutomorphismFamily,
     except _StepFailure as fail:
         report["mode"] = "fallback"
         report["failed_step"] = fail.step
-        res = brute_longest_induced_cycle(G, budget=fallback_budget)
+        res = brute_longest_induced_cycle(G, budget=FALLBACK_BUDGET)
         if res.best is None:
             raise RuntimeError("fallback found no induced cycle at all")
         report["fallback_exact"] = res.exact
@@ -662,16 +650,13 @@ def _tail_is_geodesic(G: Graph, path, q) -> bool:
 
 def _longest_induced_path_with_geodesic_tail(G: Graph, q: int, seed,
                                              budget=None):
-    """Longest induced path whose last q vertices form a geodesic.
-
-    Exhaustive for n <= 18, otherwise a best-effort DFS under a node
-    budget, seeded with (and never worse than) the provided qualifying
-    path.
+    """Longest induced path whose last q vertices form a geodesic, by a
+    best-effort DFS under a node budget (200,000 unless given), seeded with
+    (and never worse than) the provided qualifying path.
     """
     assert _qualifies(G, list(seed), q), "seed path must qualify"
     best = list(seed)
-    spent = Budget(None if (G.n <= 18 and budget is None)
-                   else (budget or 200_000))
+    spent = Budget(budget or 200_000)
     adj_sets = [set(G.adj[v]) for v in range(G.n)]
 
     for start in range(G.n):

@@ -1,12 +1,13 @@
 """Immutable digraphs, their undirected shadows, and basic structural queries.
 
 Everything downstream (group constructions, expansion scans, cycle machinery)
-consumes the two carrier types defined here.  Instances never mutate after
-construction, so they can be shared freely; every query is a pure function of
-its arguments.  Vertex sets are plain ``frozenset`` objects, distances use
-``INF`` for unreachable pairs, and undecided search verdicts use the
-``UNKNOWN`` singleton rather than ``None``.  Exhaustive searches count their
-nodes against a ``Budget``.
+consumes the one carrier type defined here, ``Digraph``, or its symmetric
+case ``Graph``, whose edges are pairs of opposite arcs.  Instances never
+mutate after construction, so they can be shared freely; every query is a
+pure function of its arguments.  Vertex sets are plain ``frozenset``
+objects, distances use ``INF`` for unreachable pairs, and undecided search
+verdicts use the ``UNKNOWN`` singleton rather than ``None``.  Exhaustive
+searches count their nodes against a ``Budget``.
 
 Bitset traversal goes through two helpers: ``adjacency_masks`` turns
 adjacency rows into per-vertex bitmasks, and ``bitset_bfs`` runs one
@@ -307,11 +308,12 @@ class Digraph:
         return Graph(self.n, self.arcs())
 
 
-class Graph:
-    """Undirected simple graph on 0..n-1, sorted adjacency.  ``edges`` may
-    repeat pairs in either orientation; they are ORed into neighbor masks."""
+class Graph(Digraph):
+    """Undirected simple graph on 0..n-1: the symmetric digraph whose sorted
+    adjacency ``adj`` is both ``out`` and ``inn``.  ``edges`` may repeat
+    pairs in either orientation; they are ORed into neighbor masks."""
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("adj",)
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -325,36 +327,21 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         self.n = n
-        self.adj = tuple(tuple(iter_bits(m)) for m in masks)
+        self.adj = self.out = self.inn = tuple(tuple(iter_bits(m)) for m in masks)
+
+    has_edge = Digraph.has_arc
 
     @property
     def edge_count(self) -> int:
-        return sum(len(vs) for vs in self.adj) // 2
+        return self.arc_count // 2
 
     def edges(self):
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.adj[u]
-        i = bisect_left(row, v)
-        return i < len(row) and row[i] == v
-
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.adj == other.adj
-
-    def __hash__(self):
-        return hash((self.n, self.adj))
+        for u, v in self.arcs():
+            if u < v:
+                yield (u, v)
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count})"
-
-    def bfs_distances(self, source: int) -> list:
-        return _bfs(self.adj, (source,))[0]
 
     def is_connected(self) -> bool:
         if self.n <= 1:
@@ -363,9 +350,6 @@ class Graph:
 
     def diameter(self):
         return _bitset_diameter(self.adj)[0]
-
-    def shortest_path(self, source: int, target: int):
-        return shortest_route(self.adj, (source,), target)
 
     def diameter_path(self):
         """A shortest path realizing the diameter (lexicographically first

@@ -202,9 +202,9 @@ def cayley_digraph(spec: CayleySpec) -> Digraph:
 class AutomorphismFamily:
     """A list of vertex permutations of some host.
 
-    Validation against a concrete host lives in :meth:`validate_digraph` /
-    :meth:`validate_graph`; constructors that hand out families are expected
-    to call one of them.
+    Validation against a concrete host lives in :meth:`validate_digraph`,
+    which also serves an undirected ``Graph`` (a symmetric digraph);
+    constructors that hand out families are expected to call it.
     """
 
     n: int
@@ -229,15 +229,6 @@ class AutomorphismFamily:
                 if not D.has_arc(p[u], p[v]):
                     raise ValueError(
                         f"permutation does not preserve arc ({u},{v})")
-
-    def validate_graph(self, G) -> None:
-        if G.n != self.n:
-            raise ValueError("host size mismatch")
-        for p in self.permutations:
-            for u, v in G.edges():
-                if not G.has_edge(p[u], p[v]):
-                    raise ValueError(
-                        f"permutation does not preserve edge ({u},{v})")
 
     def is_transitive(self) -> bool:
         """True iff for every ordered pair (u,v) some member maps u to v,

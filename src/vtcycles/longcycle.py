@@ -221,19 +221,17 @@ def dfs_long_cycle(D: Digraph, alpha: Fraction = None) -> CycleSearchResult:
     return CycleSearchResult(cycle, guarantee, tuple(trace))
 
 
-def long_path(D: Digraph, certified_transitive: bool = False,
-              alpha: Fraction = None) -> DirectedPath:
+def long_path(D: Digraph, certified_transitive: bool = False) -> DirectedPath:
     """The longer of a diameter-realizing shortest path and the opened
-    long cycle.  For certified vertex-transitive inputs the result length
-    is asserted against the floor(sqrt(n)/3) floor."""
+    long cycle.  For certified vertex-transitive inputs the cycle search
+    assumes expansion 1/(3d) and the length must reach floor(sqrt(n)/3)."""
     n = D.n
     if n < 2:
         raise ValueError("need at least 2 vertices")
     if not D.is_strongly_connected():
         raise ValueError("digraph is not strongly connected")
     diam_path = D.diameter_path()
-    if alpha is None and certified_transitive:
-        alpha = Fraction(1, 3 * D.directed_diameter())
+    alpha = Fraction(1, 3 * (len(diam_path) - 1)) if certified_transitive else None
     cyc = dfs_long_cycle(D, alpha=alpha).cycle
     opened = directed_path(D, cyc.vertices)
     best = opened if opened.length > len(diam_path) - 1 else directed_path(D, diam_path)

@@ -44,14 +44,14 @@ def jsonable(value):
 
 
 def make_report(instance: str, operation: str, parameters: dict, result,
-                certificate=None, assertions=None) -> dict:
+                assertions=None) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "instance": instance,
         "operation": operation,
         "parameters": jsonable(parameters or {}),
         "result": jsonable(result),
-        "certificate": jsonable(certificate),
+        "certificate": None,
         "assertions": [
             {"name": name, "holds": bool(holds)}
             for name, holds in (assertions or [])

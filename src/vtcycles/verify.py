@@ -113,14 +113,16 @@ def suite_figure1(max_k: int = 4) -> SuiteResult:
         four_cycles = [c for c in cycles if c.length == 4]
         want = k // 2
         packing, packing_known = max_disjoint_cycles(four_cycles)
+        regular = D.regularity() == 2
+        strong2 = is_strongly_k_connected(D, 2)
         rows.append({
             "k": k, "n": D.n,
-            "regular": D.regularity() == 2,
-            "strong2": is_strongly_k_connected(D, 2),
+            "regular": regular,
+            "strong2": strong2,
             "longest": longest,
             "disjoint_longest": packing,
-            "ok": (D.regularity() == 2 and is_strongly_k_connected(D, 2)
-                   and longest == 4 and packing_known and packing >= want),
+            "ok": (regular and strong2 and longest == 4 and packing_known
+                   and packing >= want),
         })
     return _result("figure1", ("k", "n", "regular", "strong2", "longest",
                                "disjoint_longest", "ok"), rows)
@@ -269,12 +271,13 @@ def suite_toroidal(max_n: int = 2) -> SuiteResult:
         D = toroidal_gadget(n, verify=False)
         fam = toroidal_translations(n)
         ham = brute_hamiltonian(D)
+        transitive = fam.is_transitive()
         rows.append({
             "n": n, "vertices": D.n,
             "expected_vertices": 8 * n + 4,
-            "transitive": fam.is_transitive(),
+            "transitive": transitive,
             "hamiltonian": ham is not None,
-            "ok": (D.n == 8 * n + 4 and fam.is_transitive() and ham is None),
+            "ok": (D.n == 8 * n + 4 and transitive and ham is None),
         })
     return _result("toroidal", ("n", "vertices", "expected_vertices",
                                 "transitive", "hamiltonian", "ok"), rows)

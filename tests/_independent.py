@@ -1,11 +1,11 @@
 """Independent oracle implementations used only by the tests.
 
 These deliberately share no code with the package: second implementations
-of gcd, BFS (directed and undirected), cycle enumeration, Hamiltonicity,
-the expansion minimum, the automorphism check and the left-translation
-certificate, coded in the most naive
-way available, so that agreement between the two routes is meaningful
-evidence.
+of gcd, BFS (directed and undirected), cycle enumeration (in discovery
+order), Hamiltonicity, the expansion minimum, the automorphism checks on
+arc and edge sets and the left-translation certificate, coded in the most
+naive way available, so that agreement between the two routes is
+meaningful evidence.
 """
 
 from collections import deque
@@ -55,21 +55,26 @@ def naive_graph_diameter(G):
     return _naive_diameter(G.adj)
 
 
-def dfs_all_cycles(D):
+def dfs_cycles_in_order(D):
     """Every simple directed cycle as a canonical tuple (min vertex first),
-    by plain rooted DFS with no blocking machinery."""
-    found = set()
+    in the order a plain rooted DFS with no blocking machinery finds them:
+    roots ascending, each vertex's out-neighbors in increasing order."""
+    found = []
 
     def walk(root, v, visited, path):
-        for w in D.out[v]:
+        for w in sorted(D.out[v]):
             if w == root and len(path) >= 2:
-                found.add(tuple(path))
+                found.append(tuple(path))
             elif w > root and w not in visited:
                 walk(root, w, visited | {w}, path + [w])
 
     for root in range(D.n):
         walk(root, root, {root}, [root])
     return found
+
+
+def dfs_all_cycles(D):
+    return set(dfs_cycles_in_order(D))
 
 
 def permutation_hamiltonian(D):
@@ -90,6 +95,14 @@ def preserves_arc_set(D, perm):
     arcs = {(u, w) for u in range(D.n) for w in D.out[u]}
     return (sorted(perm) == list(range(D.n))
             and {(perm[u], perm[w]) for u, w in arcs} == arcs)
+
+
+def preserves_edge_set(n, edges, perm):
+    """Whether perm is a bijection of 0..n-1 that maps the undirected edge
+    set, the pairs of ``edges`` taken as frozensets, onto itself."""
+    edge_set = {frozenset(e) for e in edges}
+    return (sorted(perm) == list(range(n))
+            and {frozenset(perm[x] for x in e) for e in edge_set} == edge_set)
 
 
 def left_translation_certificate(mult, identity, generators):
