@@ -8,7 +8,9 @@ Search supplies the generators, one for each vertex the orbit has not yet
 reached.  The family certifies transitivity as a group, through that
 Schreier orbit; its members need not pass the set test
 ``AutomorphismFamily.is_transitive()`` (the families found for K5, K6 and
-toroidal(1) do not).  Exact for the default budget on hosts up to a few
+toroidal(1) do not).  The family carries its generators, so
+``AutomorphismFamily.certifies`` can re-check the certificate against a
+host.  Exact for the default budget on hosts up to a few
 dozen vertices; returns UNKNOWN when the node budget runs out.
 """
 
@@ -118,7 +120,8 @@ def automorphism_family_by_search(D: Digraph, budget=None):
     Vertices in distinct refined color classes can never be swapped, which
     gives a fast negative path.  Otherwise 0 -> u is searched only for the
     u not yet in the orbit of 0 under the automorphisms found so far.  The
-    member for u is the product of generators along the Schreier vector.
+    member for u is the product of generators along the Schreier vector;
+    the family keeps those generators (``AutomorphismFamily.generators``).
     """
     colors = refine_colors(D)
     if len(set(colors)) > 1:
@@ -141,4 +144,5 @@ def automorphism_family_by_search(D: Digraph, budget=None):
     for u, step in orbit.items():  # BFS order: parents first
         members[u] = (tuple(range(D.n)) if step is None
                       else tuple(map(step[1].__getitem__, members[step[0]])))
-    return AutomorphismFamily(D.n, tuple(members[u] for u in range(D.n)))
+    return AutomorphismFamily(D.n, tuple(members[u] for u in range(D.n)),
+                              tuple(generators))

@@ -10,6 +10,7 @@ that needs completeness.
 
 from __future__ import annotations
 
+import logging
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,6 +25,8 @@ from .oracles import brute_longest_induced_cycle, simple_paths
 DEFAULT_MAX_COUNT = 10 ** 6
 UNBOUNDED_N_MAX = 20
 SPOT_CHECK_PAIRS = 100
+
+log = logging.getLogger("vtc")
 
 
 class EnumerationIncomplete(RuntimeError):
@@ -707,13 +710,25 @@ def pipeline_n13(D: Digraph, fam: AutomorphismFamily = None,
     a trace; if enumeration is infeasible the small-branch result is
     returned flagged partial.  The result is asserted against the
     recorded floor constant 1/9: length >= n^(1/3)/9.
+
+    When ``fam.certifies(D)`` re-checks the family's generators against D,
+    every vertex has the same out-eccentricity and the directed diameter
+    is read off one BFS from vertex 0; otherwise (no family, no
+    generators, or generators that fail the check) it is the all-pairs
+    sweep.  ``VTC_LOG=INFO`` names the route taken.
     """
     n = D.n
     if n < 2:
         raise ValueError("need at least 2 vertices")
     if not D.is_strongly_connected():
         raise ValueError("host must be strongly connected")
-    d = D.directed_diameter()
+    if fam is not None and fam.certifies(D):
+        log.info("pipeline_n13: diameter is the eccentricity of vertex 0 "
+                 "(%d certified generators)", len(fam.generators))
+        d = max(D.bfs_distances(0))
+    else:
+        log.info("pipeline_n13: diameter by all-pairs sweep")
+        d = D.directed_diameter()
     small_branch = d ** 3 <= n ** 2
     report = {
         "n": n,

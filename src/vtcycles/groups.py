@@ -10,6 +10,7 @@ and inversion.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -205,16 +206,24 @@ class AutomorphismFamily:
     Validation against a concrete host lives in :meth:`validate_digraph`,
     which also serves an undirected ``Graph`` (a symmetric digraph);
     constructors that hand out families are expected to call it.
+
+    ``generators`` optionally keeps the few permutations the members were
+    built from (the certificate of :func:`left_translations` and of the
+    automorphism search).  It takes no part in equality, hashing or repr.
+    :meth:`certifies` re-checks them against a given host.
     """
 
     n: int
     permutations: tuple
+    generators: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         perms = tuple(tuple(p) for p in self.permutations)
+        gens = tuple(tuple(p) for p in self.generators)
         object.__setattr__(self, "permutations", perms)
+        object.__setattr__(self, "generators", gens)
         points = list(range(self.n))
-        for p in perms:
+        for p in perms + gens:
             if len(p) != self.n or sorted(p) != points:
                 raise ValueError("family member is not a permutation")
 
@@ -229,6 +238,20 @@ class AutomorphismFamily:
                 if not D.has_arc(p[u], p[v]):
                     raise ValueError(
                         f"permutation does not preserve arc ({u},{v})")
+
+    def certifies(self, D: Digraph) -> bool:
+        """True iff the generators prove D vertex-transitive: there is at
+        least one, each preserves every arc of D, and the orbit of vertex 0
+        under them is all of D.  Then the group they generate acts
+        transitively by automorphisms, whatever the members are.  Costs
+        k*m ``has_arc`` calls and one Schreier vector; never raises."""
+        if not self.generators or D.n != self.n:
+            return False
+        try:
+            AutomorphismFamily(self.n, self.generators).validate_digraph(D)
+        except ValueError:
+            return False
+        return len(schreier_vector(self.generators, 0)) == self.n
 
     def is_transitive(self) -> bool:
         """True iff for every ordered pair (u,v) some member maps u to v,
@@ -276,7 +299,7 @@ def left_translations(spec: CayleySpec) -> AutomorphismFamily:
         if g.mult[h] != (identity if step is None else
                          itemgetter(*g.mult[step[0]])(step[1])):
             raise ValueError(f"row {h} is not a product of generator rows")
-    fam = AutomorphismFamily(g.order, g.mult)
+    fam = AutomorphismFamily(g.order, g.mult, gens)
     if not fam.is_transitive():
         raise ValueError("left translations are not transitive")
     return fam
@@ -311,15 +334,23 @@ def parse_group(token: str) -> GroupTable:
 
 
 def parse_generators(text: str, group_kind: str, params) -> list:
+    """Generator ids from ``1,3`` (cyclic, dihedral) or ``(1,0),(0,1)``
+    (product: every generator a parenthesised pair, else ``ValueError``
+    naming the chunk)."""
     text = text.strip()
     if group_kind == "product":
         pairs = []
-        for chunk in text.replace(" ", "").split("),("):
-            chunk = chunk.strip("()")
-            a, b = chunk.split(",")
-            pairs.append((int(a), int(b)))
-        n2 = params[1]
-        return [product_element(n2, p) for p in pairs]
+        # split at the commas that lie outside parentheses
+        for chunk in re.split(r",(?![^(]*\))", text.replace(" ", "")):
+            pair = re.fullmatch(r"\((\d+),(\d+)\)", chunk)
+            if pair is None:
+                raise ValueError(
+                    f"product generator {chunk!r} is not a pair like (1,0)")
+            a, b = int(pair[1]), int(pair[2])
+            if not (0 <= a < params[0] and 0 <= b < params[1]):
+                raise ValueError(f"product generator {chunk!r} out of range")
+            pairs.append((a, b))
+        return [product_element(params[1], p) for p in pairs]
     return [int(t) for t in text.replace(",", " ").split()]
 
 

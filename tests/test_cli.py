@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from vtcycles.cli import build_parser, main
-from vtcycles.digraph import read_edge_list
+from vtcycles.digraph import UNKNOWN, read_edge_list
 from vtcycles.gadgets import directed_cycle_product
 from vtcycles.numbergap import perimeter_gap_table
 from vtcycles import verify
@@ -69,6 +69,9 @@ def test_construct_failure_exits_nonzero(capsys):
 
 # Errors of failing `construct cayley` calls, recorded while the command
 # parsed --group and --gens itself instead of through parse_cayley_spec.
+# The product entries name the bad chunk, since product generators must be
+# parenthesised pairs: `1` and `1,2,3` failed with Python's bare unpacking
+# messages, and `1,2` built the single generator (1,2).
 CAYLEY_CONSTRUCT_ERRORS = [
     (["--group", "quaternion 8", "--gens", "1"],
      "unrecognized group spec 'quaternion 8'"),
@@ -79,10 +82,12 @@ CAYLEY_CONSTRUCT_ERRORS = [
     (["--group", "cyclic 8", "--gens", "0,1"],
      "identity generator would create self-loops"),
     (["--group", "product 2 3", "--gens", "1,2,3"],
-     "too many values to unpack (expected 2)"),
+     "product generator '1' is not a pair like (1,0)"),
     (["--group", "product 2 3", "--gens", "1"],
-     "not enough values to unpack (expected 2, got 1)"),
+     "product generator '1' is not a pair like (1,0)"),
     (["--group", "cyclic 8"], "cayley needs --group and --gens"),
+    (["--group", "product 2 3", "--gens", "1,2"],
+     "product generator '1' is not a pair like (1,0)"),
 ]
 
 
@@ -91,6 +96,22 @@ def test_construct_cayley_errors_match_recorded_table(capsys, argv, error):
     code, out = run(capsys, "construct", "cayley", *argv)
     assert code == 2
     assert json.loads(out) == {"schema": 1, "error": error}
+
+
+def test_construct_cayley_product_pairs_still_parse(capsys):
+    code, out = run(capsys, "construct", "cayley", "--group", "product 2 3",
+                    "--gens", "(1,0),(0,1)")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["vertices"] == 6
+    assert result["post_verification"]["generators"] == 2
+    for gens, chunk in (("(1,0),2", "'2'"), ("(1,0,1)", "'(1,0,1)'")):
+        code, out = run(capsys, "construct", "cayley", "--group",
+                        "product 2 3", "--gens", gens)
+        assert code == 2 and chunk in json.loads(out)["error"]
+    code, out = run(capsys, "construct", "cayley", "--group", "product 2 3",
+                    "--gens", "(1,0),(0,3)")
+    assert json.loads(out)["error"] == "product generator '(0,3)' out of range"
 
 
 @pytest.mark.parametrize("argv", [
@@ -139,6 +160,23 @@ def test_verify_exit_codes(capsys):
     code, out = run(capsys, "verify", "trotter-erdos", "--max-order", "12")
     assert code == 0
     assert out.splitlines()[0] == "n1,n2,gcd,hamiltonian,condition,split,ok"
+
+
+def test_verify_trotter_erdos_does_not_count_unknown_as_hamiltonian(
+        capsys, monkeypatch):
+    real = verify.brute_hamiltonian
+
+    def undecided_on_c2xc3(D):
+        return UNKNOWN if D == directed_cycle_product(2, 3) else real(D)
+
+    monkeypatch.setattr(verify, "brute_hamiltonian", undecided_on_c2xc3)
+    code, out = run(capsys, "verify", "trotter-erdos", "--max-order", "12")
+    assert code == 1
+    rows = {(r["n1"], r["n2"]): r for r in csv.DictReader(io.StringIO(out))}
+    assert rows["2", "3"] == {"n1": "2", "n2": "3", "gcd": "1",
+                              "hamiltonian": "unknown", "condition": "0",
+                              "split": "", "ok": "0"}
+    assert [key for key, r in rows.items() if r["ok"] != "1"] == [("2", "3")]
 
 
 def test_search_outputs(capsys):

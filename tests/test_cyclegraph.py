@@ -242,7 +242,7 @@ def test_toroidal_translations_lift_preserving_edges():
     D = toroidal_gadget(1)
     cg = cycle_graph_of(D)
     fam = toroidal_translations(1)
-    lifted = lift_automorphisms(D, fam, cg)  # validate_graph runs inside
+    lifted = lift_automorphisms(D, fam, cg)  # validate_digraph runs inside
     assert len(lifted) == len(fam)
 
 
