@@ -43,8 +43,62 @@ def enumerate_directed_cycles(D: Digraph, max_len=None, max_count=None):
     Uses the blocked-set circuit enumeration rooted at each vertex in
     ascending order when no length bound is given, and a plain bounded walk
     over ``simple_paths`` otherwise (blocking is unsound under length
-    cutoffs).  Both are iterative.  Returns (cycles, truncated).
+    cutoffs).  Both are iterative.  Returns (cycles, truncated): under
+    truncation, the first ``max_count`` cycles in enumeration order.  A
+    caller that discards a truncated list calls
+    ``complete_directed_cycles`` instead.
     """
+    found, count_cap = _cycle_walk(D, max_len, max_count)
+    cycles = []
+    for _, path in found:
+        if len(cycles) >= count_cap:
+            return cycles, True
+        cycles.append(DirectedCycle(tuple(path)))
+    return cycles, False
+
+
+def complete_directed_cycles(D: Digraph, max_count=None):
+    """The cycles of ``enumerate_directed_cycles(D, max_count=max_count)``
+    when that enumeration is complete, else None.
+
+    The walk is the same, but it records each cycle as its change from the
+    previous one, and the cycles are built from that record only once the
+    walk has ended within the cap: more than ``max_count`` cycles build
+    none.  The unbounded guard raises ``ValueError`` as there.
+    """
+    found, count_cap = _cycle_walk(D, None, max_count)
+    # cycle i is the first keeps[i] vertices of cycle i - 1 followed by
+    # tails[ends[i - 1]:ends[i]]; flat integers, no object per cycle
+    keeps, ends, tails = [], [], []
+    for keep, path in found:
+        if len(keeps) >= count_cap:
+            return None
+        keeps.append(keep)
+        tails += path[keep:]
+        ends.append(len(tails))
+    path, cycles, start = [], [], 0
+    for keep, end in zip(keeps, ends):
+        path[keep:] = tails[start:end]
+        start = end
+        cycles.append(DirectedCycle(tuple(path)))
+    return cycles
+
+
+def _log_enumeration(stage: str, cycles, max_count) -> None:
+    """One ``VTC_LOG=INFO`` line on what ``complete_directed_cycles``
+    returned to ``stage``."""
+    if cycles is None:
+        cap = DEFAULT_MAX_COUNT if max_count is None else max_count
+        log.info("%s: more than %d cycles; none built", stage, cap)
+    else:
+        log.info("%s: %d cycles, complete", stage, len(cycles))
+
+
+def _cycle_walk(D: Digraph, max_len, max_count):
+    """The cycle walk of the enumeration and its count cap.  The walk
+    yields (keep, path) per cycle: the live path, whose first ``keep``
+    vertices are those of the previous cycle (always 0 on the bounded
+    walk)."""
     n = D.n
     if max_len is None and max_count is None and n > UNBOUNDED_N_MAX:
         raise ValueError(
@@ -52,29 +106,23 @@ def enumerate_directed_cycles(D: Digraph, max_len=None, max_count=None):
             "pass max_len and/or max_count")
     count_cap = DEFAULT_MAX_COUNT if max_count is None else max_count
     len_cap = n if max_len is None else min(max_len, n)
-
-    if len_cap >= n:
-        found = _johnson(D)
-    else:
-        found = (path for root in range(n)
-                 for path in simple_paths(D, root, Budget(), above=root,
-                                          max_len=len_cap)
-                 if len(path) >= 2 and D.has_arc(path[-1], root))
     # Both searches start each cycle at its root, its minimum vertex, so
     # every path found is already in canonical rotation.
-    cycles = []
-    for path in found:
-        if len(cycles) >= count_cap:
-            return cycles, True
-        cycles.append(DirectedCycle(tuple(path)))
-    return cycles, False
+    if len_cap >= n:
+        return _johnson(D), count_cap
+    return ((0, path) for root in range(n)
+            for path in simple_paths(D, root, Budget(), above=root,
+                                     max_len=len_cap)
+            if len(path) >= 2 and D.has_arc(path[-1], root)), count_cap
 
 
 def _johnson(D: Digraph):
     """Johnson's circuit enumeration with an explicit stack: ``frames[i]``
-    iterates the out-neighbors of ``path[i]``.  Yields each circuit as the
-    live path.  A vertex whose subtree closed a circuit is unblocked on the
-    way back, any other one waits on the B-lists of its out-neighbors."""
+    iterates the out-neighbors of ``path[i]``.  Yields each circuit as
+    (closed, path): the live path, and the length of its prefix that is
+    unchanged since the previous yield (0 at a root's first circuit).  A
+    vertex whose subtree closed a circuit is unblocked on the way back, any
+    other one waits on the B-lists of its out-neighbors."""
     out_masks, in_masks = adjacency_masks(D.out), adjacency_masks(D.inn)
     for root in range(D.n):
         # root's strong component among root..n-1: what root reaches inside
@@ -92,12 +140,13 @@ def _johnson(D: Digraph):
         blocked[root] = True
         # path[:closed] holds the vertices under which a circuit closed
         # since they were entered: a circuit closing at depth d marks
-        # all of path[:d]
+        # all of path[:d].  Being the lowest depth since the last circuit,
+        # it is also the prefix that circuit shares with this one.
         closed = 0
         while frames:
             for w in frames[-1]:
                 if w == root:
-                    yield path
+                    yield closed, path
                     closed = len(path)
                 elif not blocked[w]:
                     path.append(w)
@@ -215,12 +264,14 @@ def cycle_graph_diameter_check(D: Digraph, max_count=None) -> dict:
 
     For a strongly connected host with complete enumeration the cycle graph
     is connected; the floor diam(C(D)) >= d/l - 1 is checked in exact
-    integers as l*(diam+1) >= d.
+    integers as l*(diam+1) >= d.  Past ``max_count`` cycles the verdict is
+    UNKNOWN and no cycle is built.  ``VTC_LOG=INFO`` logs which it was.
     """
     if not D.is_strongly_connected():
         raise ValueError("host must be strongly connected")
-    cycles, truncated = enumerate_directed_cycles(D, max_count=max_count)
-    if truncated:   # no verdict, so the O(k^2) cycle graph is never built
+    cycles = complete_directed_cycles(D, max_count)
+    _log_enumeration("cycle_graph_diameter_check", cycles, max_count)
+    if cycles is None:   # no verdict, so no cycle or cycle graph is built
         return {"complete": False, "verdict": "UNKNOWN"}
     cg = build_cycle_graph(D, cycles)
     d = D.directed_diameter()
@@ -707,15 +758,18 @@ def pipeline_n13(D: Digraph, fam: AutomorphismFamily = None,
     extracts an induced cycle (symmetric construction when the hypotheses
     hold, exact oracle otherwise) and stitches it back.  The longer of the
     branch result and the best incidental cycle is returned together with
-    a trace; if enumeration is infeasible the small-branch result is
-    returned flagged partial.  The result is asserted against the
-    recorded floor constant 1/9: length >= n^(1/3)/9.
+    a trace; if enumeration is infeasible (more than ``max_cycles``
+    cycles, none of which is built, or ``max_cycles=None`` past the
+    unbounded guard) the small-branch result is returned flagged partial.
+    The result is asserted against the recorded floor constant 1/9:
+    length >= n^(1/3)/9.
 
     When ``fam.certifies(D)`` re-checks the family's generators against D,
     every vertex has the same out-eccentricity and the directed diameter
     is read off one BFS from vertex 0; otherwise (no family, no
     generators, or generators that fail the check) it is the all-pairs
-    sweep.  ``VTC_LOG=INFO`` names the route taken.
+    sweep.  ``VTC_LOG=INFO`` names the route taken and, on the large
+    branch, whether the enumeration completed.
     """
     n = D.n
     if n < 2:
@@ -747,17 +801,19 @@ def pipeline_n13(D: Digraph, fam: AutomorphismFamily = None,
         candidates.append(res.cycle)
     else:
         try:
-            cycles, truncated = enumerate_directed_cycles(
-                D, max_count=max_cycles)
-        except ValueError:
-            cycles, truncated = [], True
-        if truncated:
+            cycles = complete_directed_cycles(D, max_cycles)
+        except ValueError as err:   # unbounded guard: max_cycles=None, n > 20
+            log.info("pipeline_n13: %s; none built", err)
+            cycles = None
+        else:
+            _log_enumeration("pipeline_n13", cycles, max_cycles)
+        if cycles is None:
             report["partial"] = True
             res = dfs_long_cycle(D, alpha=Fraction(1, 3 * d))
             candidates.append(res.cycle)
             report["dfs_cycle_length"] = res.cycle.length
         else:
-            cg = build_cycle_graph(D, cycles, truncated)
+            cg = build_cycle_graph(D, cycles)
             incidental = max(cg.cycles, key=lambda c: (c.length, c.vertices))
             candidates.append(incidental)
             report["cycle_count"] = cg.order

@@ -84,14 +84,14 @@ def four_cycle_chain(k: int, verify: bool = True) -> Digraph:
 
 
 def _verify_chain(D: Digraph, k: int) -> None:
-    from .cyclegraph import enumerate_directed_cycles
+    from .cyclegraph import complete_directed_cycles
 
     if D.regularity() != 2:
         raise GadgetVerificationError("chain is not 2-regular")
     if not is_strongly_k_connected(D, 2):
         raise GadgetVerificationError("chain is not strongly 2-connected")
-    cycles, truncated = enumerate_directed_cycles(D, max_count=10 ** 6)
-    if truncated:
+    cycles = complete_directed_cycles(D, 10 ** 6)
+    if cycles is None:
         raise GadgetVerificationError("cycle enumeration truncated")
     longest = max(c.length for c in cycles)
     if longest != 4:

@@ -205,12 +205,18 @@ def prime_partitionable_check(d: int, n1: int, n2: int) -> WitnessCertificate:
     built when read."""
     if d < 2:
         raise ValueError("d must be at least 2")
+    return _witness_certificate(d, n1, n2, primes_below(d))
+
+
+def _witness_certificate(d: int, n1: int, n2: int,
+                         primes) -> WitnessCertificate:
+    """``prime_partitionable_check`` for d >= 2, given the primes below d."""
     splits = SplitChecks(d, n1, n2)
     g = gcd(n1, n2)
     if g != d:
         return WitnessCertificate(d, n1, n2, splits, False,
                                   f"gcd(n1,n2) = {g} != d")
-    d1 = _first_coprime_split(d, n1, n2, primes_below(d))
+    d1 = _first_coprime_split(d, n1, n2, primes)
     if d1 is not None:
         return WitnessCertificate(d, n1, n2, splits, False,
                                   f"split ({d1},{d - d1}) is coprime to both")
@@ -311,10 +317,11 @@ def witness_from_prime_pair(p: int, q: int) -> PrimePairWitness:
     d = p + q
     n1 = d * p * q
     n2 = d
-    for z in primes_below(d):
+    primes = primes_below(d)
+    for z in primes:
         if z != p and z != q:
             n2 *= z
-    cert = prime_partitionable_check(d, n1, n2)
+    cert = _witness_certificate(d, n1, n2, primes)
     assert cert.valid, "constructed witness failed its own certificate"
     n = n1 * n2
     return PrimePairWitness(d, n1, n2, cert, n, log(n))

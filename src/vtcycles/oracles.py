@@ -351,10 +351,10 @@ def longest_cycles_pairwise_intersect(D: Digraph, budget=None):
     Enumerates all cycles (UNKNOWN if that search is budget-truncated),
     keeps the maximum-length ones, and checks all pairs.
     """
-    from .cyclegraph import enumerate_directed_cycles
+    from .cyclegraph import complete_directed_cycles
 
-    cycles, truncated = enumerate_directed_cycles(D, max_count=budget)
-    if truncated:
+    cycles = complete_directed_cycles(D, budget)
+    if cycles is None:
         return UNKNOWN
     if not cycles:
         return True

@@ -105,10 +105,13 @@ def test_pipeline_logs_which_diameter_route_ran(caplog):
     D, fam = _z12_1_7()
     with caplog.at_level(logging.INFO, logger="vtc"):
         certified = pipeline_n13(D, fam)
+        # Z12<1,7> takes the large branch, whose enumeration logs a line
         assert caplog.messages == [
             "pipeline_n13: diameter is the eccentricity of vertex 0 "
-            "(2 certified generators)"]
+            "(2 certified generators)",
+            "pipeline_n13: 96 cycles, complete"]
         caplog.clear()
         swept = pipeline_n13(D, None)
-        assert caplog.messages == ["pipeline_n13: diameter by all-pairs sweep"]
+        assert caplog.messages == ["pipeline_n13: diameter by all-pairs sweep",
+                                   "pipeline_n13: 96 cycles, complete"]
     assert certified == swept

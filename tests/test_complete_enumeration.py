@@ -1,0 +1,114 @@
+"""``complete_directed_cycles`` against the plain rooted DFS listing, the
+callers that use it when a truncated list would be discarded, and their
+``VTC_LOG`` lines."""
+
+import logging
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vtcycles import cyclegraph
+from vtcycles.cyclegraph import (complete_directed_cycles,
+                                 cycle_graph_diameter_check,
+                                 enumerate_directed_cycles, pipeline_n13)
+from vtcycles.digraph import Digraph
+from vtcycles.gadgets import cycle_digraph, directed_cycle_product
+
+from _independent import dfs_cycles_in_order
+
+
+@st.composite
+def digraphs_with_roots(draw, max_n=8):
+    """A digraph with cycles through at least two roots (least vertices of
+    a cycle): a digon on each of two drawn roots, plus random arcs."""
+    n = draw(st.integers(min_value=3, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+    first = draw(st.integers(min_value=0, max_value=n - 3))
+    second = draw(st.integers(min_value=first + 1, max_value=n - 2))
+    for root in (first, second):
+        arcs += [(root, n - 1), (n - 1, root)]
+    return Digraph(n, arcs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs_with_roots(), st.integers(min_value=0, max_value=40))
+def test_complete_cycles_match_rooted_dfs_or_are_none(D, k):
+    listed = dfs_cycles_in_order(D)
+    assert len({c[0] for c in listed}) >= 2
+    cycles = complete_directed_cycles(D, k)
+    if len(listed) > k:
+        assert cycles is None
+    else:
+        assert [c.vertices for c in cycles] == listed
+        assert cycles == enumerate_directed_cycles(D, max_count=k)[0]
+
+
+def test_complete_cycles_of_a_deep_cycle():
+    # the one cycle closes 3000 vertices deep; cap 0 is already exceeded
+    cycles = complete_directed_cycles(cycle_digraph(3000), 1)
+    assert [c.vertices for c in cycles] == [tuple(range(3000))]
+    assert complete_directed_cycles(cycle_digraph(3000), 0) is None
+
+
+def test_complete_cycles_build_no_cycle_past_the_cap(monkeypatch):
+    built = []
+    build = cyclegraph.DirectedCycle
+
+    def counting(vertices):
+        built.append(vertices)
+        return build(vertices)
+
+    monkeypatch.setattr(cyclegraph, "DirectedCycle", counting)
+    D = directed_cycle_product(2, 3)    # 11 cycles
+    assert complete_directed_cycles(D, 10) is None
+    assert built == []
+    assert len(complete_directed_cycles(D, 11)) == 11
+    assert len(built) == 11
+
+
+def test_pipeline_without_a_cycle_cap():
+    # n = 12 enumerates under the unbounded guard; n = 25 is refused by it
+    # and falls back to the descendant search, flagged partial
+    _, small = pipeline_n13(cycle_digraph(12), max_cycles=None)
+    assert small == {
+        "n": 12, "directed_diameter": 11, "branch": "large",
+        "branch_test": "11^3 > 12^2", "partial": False, "cycle_count": 1,
+        "circumference": 12, "cycle_graph_diameter": 0,
+        "induced_mode": "oracle", "induced_available": False,
+        "result_length": 12, "floor_constant": "1/9"}
+    _, large = pipeline_n13(cycle_digraph(25), max_cycles=None)
+    assert large == {
+        "n": 25, "directed_diameter": 24, "branch": "large",
+        "branch_test": "24^3 > 25^2", "partial": True,
+        "dfs_cycle_length": 25, "result_length": 25, "floor_constant": "1/9"}
+
+
+def test_pipeline_logs_whether_its_enumeration_completed(caplog):
+    sweep = "pipeline_n13: diameter by all-pairs sweep"
+    with caplog.at_level(logging.INFO, logger="vtc"):
+        pipeline_n13(cycle_digraph(12), max_cycles=None)
+        assert caplog.messages == [sweep, "pipeline_n13: 1 cycles, complete"]
+        caplog.clear()
+        _, report = pipeline_n13(directed_cycle_product(2, 8), max_cycles=1)
+        assert report["partial"]
+        assert caplog.messages == [
+            sweep, "pipeline_n13: more than 1 cycles; none built"]
+        caplog.clear()
+        pipeline_n13(cycle_digraph(25), max_cycles=None)
+        assert caplog.messages == [
+            sweep, "pipeline_n13: unbounded enumeration is capped at n=20; "
+            "pass max_len and/or max_count; none built"]
+
+
+def test_cycle_graph_check_logs_whether_its_enumeration_completed(caplog):
+    with caplog.at_level(logging.INFO, logger="vtc"):
+        assert cycle_graph_diameter_check(cycle_digraph(5))["complete"]
+        assert caplog.messages == [
+            "cycle_graph_diameter_check: 1 cycles, complete"]
+        caplog.clear()
+        report = cycle_graph_diameter_check(directed_cycle_product(2, 8),
+                                            max_count=1)
+        assert report == {"complete": False, "verdict": "UNKNOWN"}
+        assert caplog.messages == [
+            "cycle_graph_diameter_check: more than 1 cycles; none built"]

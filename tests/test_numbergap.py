@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vtcycles import numbergap
 from vtcycles.gadgets import directed_cycle_product
 from vtcycles.numbergap import (MotohashiPair, SplitCheck, is_prime,
                                 motohashi_pairs, perimeter_gap_table,
@@ -237,3 +238,18 @@ def test_split_outputs_match_recorded_digests():
         "00fa7dbdb32ef8abceaf08b6556d895175dfd4dc7ea16102cb5377a1755fce4b")
     assert digest(perimeter_gap_table(300)) == (
         "fa543ce6f5b08e90c54ac58ce98e24380adf5b55e2915a6e5b25ca9ee5512b41")
+
+
+def test_witness_sieves_the_primes_below_d_once(monkeypatch):
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return primes_below(x)
+
+    monkeypatch.setattr(numbergap, "primes_below", counting)
+    wit = witness_from_prime_pair(5, 11)
+    assert wit.certificate.valid and calls == [16]
+    calls.clear()
+    rows = numbergap.perimeter_gap_table(1000)
+    assert len(calls) == len(rows) + 1   # one per witness, one for the pairs
