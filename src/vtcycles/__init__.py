@@ -9,9 +9,10 @@ brute-force oracles everything is validated against.
 from .digraph import (Digraph, DirectedCycle, DirectedPath, Graph, INF,
                       UNKNOWN, cartesian_product, directed_cycle,
                       directed_path, read_edge_list, to_dot, write_edge_list)
-from .groups import (AutomorphismFamily, CayleySpec, GroupAxiomError,
-                     GroupTable, cayley_digraph, cyclic_group, dihedral_group,
-                     direct_product, group_from_table, left_translations)
+from .groups import (AutomorphismFamily, CayleySpec, FormulaGroup,
+                     GroupAxiomError, GroupTable, cayley_digraph, cyclic_group,
+                     dihedral_group, direct_product, group_from_table,
+                     left_translations)
 from .automorphisms import is_vertex_transitive
 from .gadgets import (cycle_digraph, complete_bidirected,
                       directed_cycle_product, four_cycle_chain,

@@ -1,10 +1,15 @@
-"""Finite groups as multiplication tables, Cayley digraphs, and the
-left-translation automorphism families that certify vertex transitivity
-through a Schreier vector (:func:`schreier_vector`).
+"""Finite groups, Cayley digraphs, and the left-translation automorphism
+families that certify vertex transitivity through a Schreier vector
+(:func:`schreier_vector`).
 
 Group elements are plain ids into a canonical ordering; there is no symbolic
 group theory here because everything downstream only needs multiplication
-and inversion.
+and inversion.  The named groups (cyclic, dihedral and their direct
+products) multiply and invert by formula and build no table, so a Cayley
+host of order n and its transitivity certificate cost O(n*|S|) for a
+generating set S.  A raw multiplication table (:func:`group_from_table`,
+or a bare :class:`GroupTable`) keeps its table, and
+:func:`left_translations` checks its rows and columns.
 """
 
 from __future__ import annotations
@@ -12,7 +17,9 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
+from typing import Callable
 
 from .digraph import Digraph
 
@@ -24,12 +31,30 @@ class GroupAxiomError(ValueError):
     """A raw table violates a group axiom; carries a witness."""
 
 
+class Group:
+    """A finite group on the ids 0..order-1, with ``identity``, ``mul``,
+    ``inv`` and ``row(a)``, the left translation x -> a*x as a tuple."""
+
+    def element_order(self, a: int) -> int:
+        x = a
+        k = 1
+        while x != self.identity:
+            x = self.mul(x, a)
+            k += 1
+        return k
+
+    def order_multiset(self) -> tuple:
+        """Sorted element orders; a cheap isomorphism invariant."""
+        return tuple(sorted(self.element_order(a) for a in range(self.order)))
+
+
 @dataclass(frozen=True)
-class GroupTable:
+class GroupTable(Group):
     """Finite group: order, multiplication table, identity, inverses.
 
-    Construct through :func:`group_from_table` (or the named constructors
-    below) so the axioms are actually checked.
+    Construct through :func:`group_from_table` so the axioms are actually
+    checked.  A bare ``GroupTable`` skips them; :func:`left_translations`
+    still checks its rows and columns.
     """
 
     order: int
@@ -44,17 +69,30 @@ class GroupTable:
     def inv(self, a: int) -> int:
         return self.inverse[a]
 
-    def element_order(self, a: int) -> int:
-        x = a
-        k = 1
-        while x != self.identity:
-            x = self.mult[x][a]
-            k += 1
-        return k
+    def row(self, a: int) -> tuple:
+        return self.mult[a]
 
-    def order_multiset(self) -> tuple:
-        """Sorted element orders; a cheap isomorphism invariant."""
-        return tuple(sorted(self.element_order(a) for a in range(self.order)))
+
+@dataclass(frozen=True, eq=False)
+class FormulaGroup(Group):
+    """A named group whose ``mul``, ``inv`` and ``row`` are formulas on the
+    element ids.  Its ``mult`` and ``inverse`` tables are built on first
+    read; only a product with a raw table reads them."""
+
+    order: int
+    identity: int
+    mul: Callable
+    inv: Callable
+    row: Callable
+    name: str
+
+    @cached_property
+    def mult(self) -> tuple:
+        return tuple(map(self.row, range(self.order)))
+
+    @cached_property
+    def inverse(self) -> tuple:
+        return tuple(map(self.inv, range(self.order)))
 
 
 def group_from_table(raw, name: str = "group") -> GroupTable:
@@ -106,30 +144,44 @@ def group_from_table(raw, name: str = "group") -> GroupTable:
     return GroupTable(n, mult, identity, tuple(inverse), name)
 
 
-def cyclic_group(n: int) -> GroupTable:
+def cyclic_group(n: int) -> FormulaGroup:
     if n < 1:
         raise ValueError("cyclic group order must be at least 1")
-    # Row a is the rotation of 0..n-1 by a, so the n^2 entries share n int
-    # objects instead of allocating one per entry.
-    elems = tuple(range(n))
-    mult = tuple(elems[a:] + elems[:a] for a in range(n))
-    inverse = tuple((-a) % n for a in range(n))
-    return GroupTable(n, mult, 0, inverse, f"Z{n}")
+    return FormulaGroup(n, 0, lambda a, b: (a + b) % n, lambda a: -a % n,
+                        lambda a: tuple(range(a, n)) + tuple(range(a)), f"Z{n}")
 
 
-def direct_product(g1: GroupTable, g2: GroupTable) -> GroupTable:
-    """Direct product with lexicographic pair ordering: (a,b) -> a*|G2|+b."""
+def direct_product(g1: Group, g2: Group) -> Group:
+    """Direct product with lexicographic pair ordering: (a,b) -> a*|G2|+b.
+
+    A formula group when both factors are; otherwise its table is built
+    and returned as a :class:`GroupTable`, so that a raw factor stays
+    subject to the row checks of :func:`left_translations`."""
     n2 = g2.order
-    mult = tuple(tuple(c1 * n2 + c2 for c1 in row1 for c2 in row2)
-                 for row1 in g1.mult for row2 in g2.mult)
-    inverse = tuple(i1 * n2 + i2 for i1 in g1.inverse for i2 in g2.inverse)
-    return GroupTable(g1.order * n2, mult, g1.identity * n2 + g2.identity,
-                      inverse, f"{g1.name}x{g2.name}")
+
+    def mul(a, b):
+        a1, a2 = divmod(a, n2)
+        b1, b2 = divmod(b, n2)
+        return g1.mul(a1, b1) * n2 + g2.mul(a2, b2)
+
+    def inv(a):
+        a1, a2 = divmod(a, n2)
+        return g1.inv(a1) * n2 + g2.inv(a2)
+
+    def row(a):
+        a1, a2 = divmod(a, n2)
+        return tuple(c1 * n2 + c2 for c1 in g1.row(a1) for c2 in g2.row(a2))
+
+    g = FormulaGroup(g1.order * n2, g1.identity * n2 + g2.identity,
+                     mul, inv, row, f"{g1.name}x{g2.name}")
+    if isinstance(g1, FormulaGroup) and isinstance(g2, FormulaGroup):
+        return g
+    return GroupTable(g.order, g.mult, g.identity, g.inverse, g.name)
 
 
-def dihedral_group(m: int) -> GroupTable:
+def dihedral_group(m: int) -> FormulaGroup:
     """Dihedral group of order 2m; ids 0..m-1 are rotations r^i, ids
-    m..2m-1 are reflections s*r^i.  Goes through the axiom checker."""
+    m..2m-1 are reflections s*r^i."""
     if m < 1:
         raise ValueError("dihedral parameter must be at least 1")
     n = 2 * m
@@ -142,8 +194,11 @@ def dihedral_group(m: int) -> GroupTable:
             return e1 * m + (i1 + i2) % m
         return (e1 ^ 1) * m + (i2 - i1) % m
 
-    table = [[mul(a, b) for b in range(n)] for a in range(n)]
-    return group_from_table(table, name=f"D{m}")
+    def inv(a):
+        return a if a >= m else -a % m  # reflections are involutions
+
+    return FormulaGroup(n, 0, mul, inv,
+                        lambda a: tuple(mul(a, b) for b in range(n)), f"D{m}")
 
 
 def product_element(n2: int, pair) -> int:
@@ -163,7 +218,7 @@ class CayleySpec:
     under right multiplication by the generators must be all of it.
     """
 
-    group: GroupTable
+    group: Group
     generators: tuple
 
     def __post_init__(self):
@@ -177,31 +232,38 @@ class CayleySpec:
                 raise ValueError(f"generator {s} out of range")
         if g.identity in gens:
             raise ValueError("identity generator would create self-loops")
-        columns = [[row[s] for row in g.mult] for s in gens]
+        columns = [[g.mul(x, s) for x in range(g.order)] for s in gens]
         reached = len(schreier_vector(columns, g.identity))
         if reached != g.order:
             raise ValueError(
                 f"generators {gens} generate only {reached} of "
                 f"{g.order} elements")
 
+    @cached_property
+    def _digraph(self) -> Digraph:
+        g = self.group
+        arcs = [(x, g.mul(x, s)) for x in range(g.order) for s in self.generators]
+        D = Digraph(g.order, arcs)
+        assert D.regularity() == len(self.generators)
+        assert D.is_strongly_connected()
+        return D
+
 
 def cayley_digraph(spec: CayleySpec) -> Digraph:
     """Arc x -> y iff x^{-1} y is a generator, i.e. y = x*s.
 
     The result is |S|-regular and strongly connected; both are asserted
-    rather than assumed.
+    rather than assumed.  It is built once per spec, so
+    :func:`left_translations` checks the digraph its caller holds.
     """
-    g = spec.group
-    arcs = [(x, g.mult[x][s]) for x in range(g.order) for s in spec.generators]
-    D = Digraph(g.order, arcs)
-    assert D.regularity() == len(spec.generators)
-    assert D.is_strongly_connected()
-    return D
+    return spec._digraph
 
 
-@dataclass(frozen=True)
 class AutomorphismFamily:
-    """A list of vertex permutations of some host.
+    """Vertex permutations of some host: an explicit list of members, or
+    the left translations of a formula group (``group``), x -> h*x for each
+    element h, built as its rows on the first read of ``permutations``.
+    ``len``, :meth:`is_transitive` and :meth:`certifies` never build them.
 
     Validation against a concrete host lives in :meth:`validate_digraph`,
     which also serves an undirected ``Graph`` (a symmetric digraph);
@@ -209,35 +271,29 @@ class AutomorphismFamily:
 
     ``generators`` optionally keeps the few permutations the members were
     built from (the certificate of :func:`left_translations` and of the
-    automorphism search).  It takes no part in equality, hashing or repr.
-    :meth:`certifies` re-checks them against a given host.
+    automorphism search).  :meth:`certifies` re-checks them against a
+    given host.  Explicit members and generators are checked to be
+    permutations of 0..n-1.
     """
 
-    n: int
-    permutations: tuple
-    generators: tuple = field(default=(), compare=False, repr=False)
+    def __init__(self, n: int, permutations=(), generators=(), group=None):
+        self.n = n
+        self.generators = _permutations(n, generators)
+        self.group = group
+        if group is None:  # an explicit list stands in for the built rows
+            self.permutations = _permutations(n, permutations)
 
-    def __post_init__(self):
-        perms = tuple(tuple(p) for p in self.permutations)
-        gens = tuple(tuple(p) for p in self.generators)
-        object.__setattr__(self, "permutations", perms)
-        object.__setattr__(self, "generators", gens)
-        points = list(range(self.n))
-        for p in perms + gens:
-            if len(p) != self.n or sorted(p) != points:
-                raise ValueError("family member is not a permutation")
+    @cached_property
+    def permutations(self) -> tuple:
+        return tuple(map(self.group.row, range(self.n)))
 
     def __len__(self):
-        return len(self.permutations)
+        return self.n if self.group is not None else len(self.permutations)
 
     def validate_digraph(self, D: Digraph) -> None:
         if D.n != self.n:
             raise ValueError("host size mismatch")
-        for p in self.permutations:
-            for u, v in D.arcs():
-                if not D.has_arc(p[u], p[v]):
-                    raise ValueError(
-                        f"permutation does not preserve arc ({u},{v})")
+        _check_arcs(D, self.permutations)
 
     def certifies(self, D: Digraph) -> bool:
         """True iff the generators prove D vertex-transitive: there is at
@@ -248,17 +304,36 @@ class AutomorphismFamily:
         if not self.generators or D.n != self.n:
             return False
         try:
-            AutomorphismFamily(self.n, self.generators).validate_digraph(D)
+            _check_arcs(D, self.generators)
         except ValueError:
             return False
         return len(schreier_vector(self.generators, 0)) == self.n
 
     def is_transitive(self) -> bool:
         """True iff for every ordered pair (u,v) some member maps u to v,
-        i.e. every column of the members holds all n vertices."""
+        i.e. every column of the members holds all n vertices.  The left
+        translations of a group always are: x -> v*u^-1*x maps u to v."""
+        if self.group is not None:
+            return True
         if not self.permutations:
             return self.n == 0
         return all(len(set(col)) == self.n for col in zip(*self.permutations))
+
+
+def _check_arcs(D: Digraph, maps) -> None:
+    for p in maps:
+        for u, v in D.arcs():
+            if not D.has_arc(p[u], p[v]):
+                raise ValueError(f"permutation does not preserve arc ({u},{v})")
+
+
+def _permutations(n: int, maps) -> tuple:
+    maps = tuple(tuple(p) for p in maps)
+    points = list(range(n))
+    for p in maps:
+        if len(p) != n or sorted(p) != points:
+            raise ValueError("family member is not a permutation")
+    return maps
 
 
 def schreier_vector(maps, root: int) -> dict:
@@ -282,13 +357,23 @@ def left_translations(spec: CayleySpec) -> AutomorphismFamily:
     """Left multiplication maps x -> g*x, one per group element.
 
     Translations by generators preserve arcs because (sx)^{-1}(sy) =
-    x^{-1}y, which is checked against every arc.  Every other row must be
-    its Schreier-vector parent's row followed by that edge's generator, and
-    the family must act transitively; ``ValueError`` otherwise.
+    x^{-1}y, which is checked against every arc, and their Schreier vector
+    from the identity must cover the group; ``ValueError`` otherwise.  For
+    a formula group that is the whole check, the one
+    :meth:`AutomorphismFamily.certifies` makes: the family keeps the
+    generator rows and the group, and lists its members only when they are
+    read.  A raw table is trusted no further than its rows: every other row
+    must be its Schreier-vector parent's row followed by that edge's
+    generator, and every column must hold every element.
     """
     g = spec.group
     D = cayley_digraph(spec)
-    gens = [g.mult[s] for s in spec.generators]
+    gens = [g.row(s) for s in spec.generators]
+    if isinstance(g, FormulaGroup):
+        fam = AutomorphismFamily(g.order, generators=gens, group=g)
+        if not fam.certifies(D):
+            raise ValueError("generator translations do not certify the host")
+        return fam
     AutomorphismFamily(g.order, gens).validate_digraph(D)
     vector = schreier_vector(gens, g.identity)
     if len(vector) != g.order:
@@ -320,7 +405,7 @@ def parse_cayley_spec(text: str) -> CayleySpec:
     return CayleySpec(group, tuple(gens))
 
 
-def parse_group(token: str) -> GroupTable:
+def parse_group(token: str) -> Group:
     parts = token.split()
     kind = parts[0]
     args = [int(t) for t in parts[1:]]

@@ -3,7 +3,8 @@
 These deliberately share no code with the package: second implementations
 of gcd, BFS (directed and undirected), cycle enumeration (in discovery
 order), Hamiltonicity, the expansion minimum, the automorphism checks on
-arc and edge sets and the left-translation certificate, coded in the most
+arc and edge sets, the left-translation certificate and the tables of the
+cyclic and dihedral groups and their products, coded in the most
 naive way available, so that agreement between the two routes is
 meaningful evidence.
 """
@@ -133,6 +134,43 @@ def left_translation_certificate(mult, identity, generators):
     if any(members.get(h) != tuple(mult[h]) for h in range(n)):
         return False
     return all(sorted(mult[h][u] for h in range(n)) == full for u in range(n))
+
+
+def cyclic_table(n):
+    """Multiplication table of Z_n: addition mod n."""
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
+def dihedral_table(m):
+    """Multiplication table of the dihedral group of order 2m, where id
+    e*m + i stands for s^e r^i.  Elements are the affine maps k -> eps*k + c
+    of Z_m, r^i = (1, i) and s = (-1, 0), so s^e r^i = (eps, eps*i), and a
+    product is the composition of maps (the right factor applied first)."""
+    def affine(a):
+        e, i = divmod(a, m)
+        eps = -1 if e else 1
+        return eps, eps * i % m
+
+    def element(eps, c):
+        return (0 if eps == 1 else m) + eps * c % m
+
+    table = []
+    for a in range(2 * m):
+        eps1, c1 = affine(a)
+        row = []
+        for b in range(2 * m):
+            eps2, c2 = affine(b)
+            row.append(element(eps1 * eps2, (eps1 * c2 + c1) % m))
+        table.append(row)
+    return table
+
+
+def product_table(t1, t2):
+    """Table of the direct product, pair (a1, a2) numbered a1*len(t2) + a2."""
+    n2 = len(t2)
+    pairs = [(a1, a2) for a1 in range(len(t1)) for a2 in range(n2)]
+    return [[t1[a1][b1] * n2 + t2[a2][b2] for b1, b2 in pairs]
+            for a1, a2 in pairs]
 
 
 def subset_expansion_minimum(D):

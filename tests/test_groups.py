@@ -1,16 +1,20 @@
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vtcycles.digraph import Digraph
-from vtcycles.gadgets import cycle_digraph, directed_cycle_product, product_cayley_spec
+from vtcycles.gadgets import (cycle_digraph, directed_cycle_product,
+                              product_cayley_spec, toroidal_cayley_spec)
 from vtcycles.groups import (AutomorphismFamily, CayleySpec, GroupAxiomError,
                              GroupTable, cayley_digraph, cyclic_group,
                              dihedral_group, direct_product, format_cayley_spec,
                              group_from_table, left_translations,
-                             parse_cayley_spec)
+                             parse_cayley_spec, schreier_vector)
 
-from _independent import left_translation_certificate
+from _independent import (cyclic_table, dihedral_table,
+                          left_translation_certificate, product_table)
 
 
 def test_trivial_group():
@@ -311,3 +315,86 @@ def test_left_translations_match_the_certificate_definition():
 
     check()
     assert verdicts == {True, False}
+
+
+# --- named groups: formulas against tables ---------------------------------
+
+def _named_factor(draw, max_order):
+    """(group, independent table) of a cyclic group of order at most
+    min(30, max_order) or a dihedral group of order at most max_order."""
+    if max_order >= 2 and draw(st.booleans()):
+        m = draw(st.integers(min_value=1, max_value=min(15, max_order // 2)))
+        return dihedral_group(m), dihedral_table(m)
+    n = draw(st.integers(min_value=1, max_value=min(30, max_order)))
+    return cyclic_group(n), cyclic_table(n)
+
+
+@st.composite
+def named_groups_with_tables(draw):
+    """Z_n (n = 1-30), D_m (m = 1-15) or a product of two of them of order
+    at most 60, with its table built by _independent."""
+    if draw(st.booleans()):
+        return _named_factor(draw, 30)
+    g1, t1 = _named_factor(draw, 30)
+    g2, t2 = _named_factor(draw, 60 // g1.order)
+    return direct_product(g1, g2), product_table(t1, t2)
+
+
+def _generating_set(g, candidates):
+    """The candidates that lie outside the subgroup generated by those
+    taken before them."""
+    gens, reached = [], {g.identity}
+    for a in candidates:
+        if a not in reached:
+            gens.append(a)
+            columns = [[g.mul(x, s) for x in range(g.order)] for s in gens]
+            reached = schreier_vector(columns, g.identity)
+    return gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_formula_groups_match_their_tables(data):
+    g, raw = data.draw(named_groups_with_tables())
+    n = g.order
+    table = group_from_table(raw)
+    assert g.identity == table.identity
+    assert all(g.mul(a, b) == table.mul(a, b) for a in range(n) for b in range(n))
+    assert all(g.inv(a) == table.inv(a) for a in range(n))
+    assert all(g.element_order(a) == table.element_order(a) for a in range(n))
+    assert g.mult == table.mult and g.inverse == table.inverse
+    if n == 1:
+        return  # no generator: the identity is rejected
+    order = data.draw(st.permutations(range(n)))
+    spec = CayleySpec(g, tuple(_generating_set(g, order)))
+    fam = left_translations(spec)
+    assert len(fam) == n and fam.certifies(cayley_digraph(spec))
+    transitive = fam.is_transitive()
+    assert "permutations" not in vars(fam)  # none of the above built them
+    assert fam.permutations == table.mult
+    full = frozenset(range(n))
+    assert transitive == all(frozenset(p[u] for p in fam.permutations) == full
+                             for u in range(n))
+
+
+def test_product_with_a_raw_factor_keeps_a_checked_table():
+    raw = GroupTable(2, ((0, 1), (1, 0)), 0, (0, 1))
+    g = direct_product(raw, cyclic_group(3))
+    assert isinstance(g, GroupTable)
+    assert g.mult == direct_product(cyclic_group(2), cyclic_group(3)).mult
+
+
+def test_cayley_hosts_at_scale_build_no_quadratic_object():
+    # The multiplication table of Z_50000 alone would hold 2.5*10^9 entries.
+    tracemalloc.start()
+    try:
+        for make in (lambda: CayleySpec(cyclic_group(50_000), (1, 7)),
+                     lambda: toroidal_cayley_spec(600)):
+            spec = make()
+            D = cayley_digraph(spec)
+            fam = left_translations(spec)
+            assert fam.certifies(D) and len(fam) == D.n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
