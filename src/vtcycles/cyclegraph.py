@@ -203,9 +203,9 @@ class CycleGraph:
 
 
 def build_cycle_graph(D: Digraph, cycles, truncated=False) -> CycleGraph:
-    """Intersection adjacency via per-vertex membership bitsets.  The pairs
-    (i, j > i) stream from each cycle's neighbor mask into ``Graph``; no
-    edge list is built.
+    """Intersection adjacency via per-vertex membership bitsets: cycle i's
+    neighbor mask, the OR of its vertices' membership masks minus bit i,
+    goes straight into ``Graph.from_masks``; no pair or edge list is built.
 
     A fixed-seed spot check re-tests up to 100 random pairs against direct
     set intersection on every build.
@@ -218,15 +218,13 @@ def build_cycle_graph(D: Digraph, cycles, truncated=False) -> CycleGraph:
             membership[v].append(i)
             vert_mask[v] |= 1 << i
 
-    def pairs():
-        for i, c in enumerate(cycles):
-            neigh = 0
-            for v in c.vertices:
-                neigh |= vert_mask[v]
-            for j in iter_bits(neigh & (-1 << (i + 1))):  # keep j > i
-                yield i, j
-
-    graph = Graph(k, pairs())
+    neighbors = []
+    for i, c in enumerate(cycles):
+        neigh = 0
+        for v in c.vertices:
+            neigh |= vert_mask[v]
+        neighbors.append(neigh & ~(1 << i))
+    graph = Graph.from_masks(neighbors)
 
     rng = random.Random(0)
     if k >= 2:
@@ -276,8 +274,8 @@ def cycle_graph_diameter_check(D: Digraph, max_count=None) -> dict:
     cg = build_cycle_graph(D, cycles)
     d = D.directed_diameter()
     circumference = max((c.length for c in cg.cycles), default=0)
-    connected = cg.graph.is_connected()
     diam = cg.graph.diameter()
+    connected = diam != INF
     holds = connected and circumference * (diam + 1) >= d
     return {
         "complete": True,
@@ -427,12 +425,11 @@ def is_nearly_transitive(G: Graph, fam: AutomorphismFamily) -> bool:
     """
     if G.n != fam.n:
         raise ValueError("family and graph size mismatch")
-    closed = [frozenset(G.adj[u]) | {u} for u in range(G.n)]
+    closed = [m | 1 << u for u, m in enumerate(G.masks)]
     for v in range(G.n):
-        images = frozenset(p[v] for p in fam.permutations)
-        for u in range(G.n):
-            if not (images & closed[u]):
-                return False
+        images = sum({1 << p[v] for p in fam.permutations})
+        if not all(images & c for c in closed):
+            return False
     return True
 
 
@@ -556,9 +553,9 @@ def _symmetry_construction(G: Graph, fam: AutomorphismFamily, S: tuple,
         y = P[-q]
 
         phi = None
-        closed_w = set(G.adj[w]) | {w}
+        closed_w = G.masks[w] | 1 << w
         for p in fam.permutations:
-            if p[m] in closed_w:
+            if closed_w >> p[m] & 1:
                 phi = p
                 break
         if phi is None:
@@ -570,15 +567,14 @@ def _symmetry_construction(G: Graph, fam: AutomorphismFamily, S: tuple,
         deco.S_img, deco.L_img, deco.R_img = S_img, L_img, R_img
         deco.v_img, deco.u_img, deco.w_img = phi[v0], phi[u0], w_img
 
-        q_set = set(Q)
-        near_q = set(Q)
+        near_q = 0
         for t in Q:
-            near_q.update(G.adj[t])
+            near_q |= G.masks[t] | 1 << t
         dw_img = dist_from(w_img)
 
         side = None
         for half, far_end in ((L_img, phi[v0]), (R_img, phi[u0])):
-            touched = [t for t in half if t in near_q]
+            touched = [t for t in half if near_q >> t & 1]
             if all(dw_img[t] <= 3 for t in touched):
                 side = (half, far_end, touched)
                 break
@@ -604,7 +600,6 @@ def _symmetry_construction(G: Graph, fam: AutomorphismFamily, S: tuple,
         c_pos = half.index(c)
         # the half runs far end .. w'; the hook runs from c back to the far end
         hook = tuple(reversed(half[:c_pos + 1]))      # c .. far end
-        hook_plus_q = set(Q_prime) | set(hook)
         if not _induces_path(G, Q_prime, hook):
             raise _StepFailure("hook", "tail plus hook does not induce a path")
 
@@ -642,20 +637,10 @@ def _symmetry_construction(G: Graph, fam: AutomorphismFamily, S: tuple,
 
 def _induces_path(G: Graph, tail, hook) -> bool:
     """Whether tail + bridge + hook vertices induce a single path."""
-    verts = list(tail) + [t for t in hook if t not in set(tail)]
-    vset = set(verts)
-    deg = {t: 0 for t in verts}
-    edges = 0
-    for i, a in enumerate(verts):
-        for b in verts[i + 1:]:
-            if G.has_edge(a, b):
-                deg[a] += 1
-                deg[b] += 1
-                edges += 1
-    if edges != len(verts) - 1:
-        return False
-    ends = [t for t in verts if deg[t] == 1]
-    return len(ends) == 2 and all(deg[t] <= 2 for t in verts)
+    vmask = sum(1 << t for t in {*tail, *hook})
+    deg = [(G.masks[t] & vmask).bit_count() for t in iter_bits(vmask)]
+    return (sum(deg) == 2 * (len(deg) - 1) and deg.count(1) == 2
+            and max(deg) <= 2)
 
 
 def _best_contact(G: Graph, P_prime, hook):
@@ -711,32 +696,31 @@ def _longest_induced_path_with_geodesic_tail(G: Graph, q: int, seed,
     assert _qualifies(G, list(seed), q), "seed path must qualify"
     best = list(seed)
     spent = Budget(budget or 200_000)
-    adj_sets = [set(G.adj[v]) for v in range(G.n)]
 
     for start in range(G.n):
         # frames[i]: (neighbors of path[i] left to try, vertices blocked by
         # the interior of path[:i + 1])
-        path, pset, frames = [], set(), []
-        w, blocked = start, set()
+        path, on_path, frames = [], 0, []
+        w, blocked = start, 0
         while spent.spend():
             path.append(w)
-            pset.add(w)
+            on_path |= 1 << w
             if (len(path) > len(best) and len(path) >= q
                     and _tail_is_geodesic(G, path, q)):
                 best = list(path)
-            frames.append((iter(G.adj[w]), blocked))
+            frames.append((iter_bits(G.masks[w]), blocked))
             # advance to the next extension, backtracking as frames run out
             w = None
             while frames and w is None:
                 neighbors, blocked = frames[-1]
                 for x in neighbors:
-                    if x not in pset and x not in blocked:
+                    if not (on_path | blocked) >> x & 1:
                         w = x
-                        blocked = blocked | (adj_sets[path[-1]] - {x})
+                        blocked |= G.masks[path[-1]] & ~(1 << x)
                         break
                 else:
                     frames.pop()
-                    pset.remove(path.pop())
+                    on_path ^= 1 << path.pop()
             if w is None:
                 break
         if spent.exhausted:

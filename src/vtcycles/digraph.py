@@ -12,9 +12,10 @@ searches count their nodes against a ``Budget``.
 Bitset traversal goes through two helpers: ``adjacency_masks`` turns
 adjacency rows into per-vertex bitmasks, and ``bitset_bfs`` runs one
 level-synchronous BFS over them, optionally inside an ``allowed`` vertex
-mask.  ``Digraph`` itself stays sparse (sorted tuples and a list BFS):
-hosts reach thousands of vertices, where n masks of n bits each cost more
-than they save.  Callers build masks only where a dense kernel pays off.
+mask.  ``Digraph`` stays sparse (sorted tuples and a list BFS): hosts reach
+thousands of vertices, where n masks of n bits each cost more than they
+save.  ``Graph`` is the opposite: its neighbor masks are its state, and
+its sorted adjacency tuples are derived only when something reads them.
 """
 
 from __future__ import annotations
@@ -117,21 +118,6 @@ def shortest_route(adj, sources, target: int):
     return path
 
 
-def _diameter(n: int, bfs_distances):
-    """(max pairwise distance, first source/target pair attaining it) over
-    the ``bfs_distances`` rows of all n sources.  (INF, None) as soon as one
-    pair is unreachable; (0, None) when n == 0."""
-    best, pair = 0, None
-    for s in range(n):
-        row = bfs_distances(s)
-        far = max(row)
-        if far == INF:
-            return INF, None
-        if far > best or pair is None:
-            best, pair = far, (s, row.index(far))
-    return best, pair
-
-
 def adjacency_masks(rows) -> list:
     """Each adjacency row (of distinct vertex ids) as a bitmask."""
     return [sum(1 << w for w in row) for row in rows]
@@ -158,23 +144,6 @@ def bitset_bfs(masks, start: int, allowed: int = -1):
         reached |= nxt
         level = nxt
         depth += 1
-
-
-def _bitset_diameter(adj):
-    """``_diameter`` of the undirected graph with adjacency tuple ``adj``,
-    by one ``bitset_bfs`` per source.  The eccentricity is the number of
-    levels, and the lowest vertex of the last level is the first one at
-    that distance, as in ``_diameter``."""
-    masks = adjacency_masks(adj)
-    full = (1 << len(adj)) - 1
-    best, pair = 0, None
-    for s in range(len(adj)):
-        reached, ecc, last = bitset_bfs(masks, s)
-        if reached != full:
-            return INF, None
-        if ecc > best or pair is None:
-            best, pair = ecc, (s, (last & -last).bit_length() - 1)
-    return best, pair
 
 
 class Digraph:
@@ -267,17 +236,28 @@ class Digraph:
         """
         return shortest_route(self.out, (source,), target)
 
-    def directed_diameter(self):
-        """Max pairwise directed distance; INF iff not strongly connected.
+    def _farthest_pair(self):
+        """(max distance, first pair attaining it), (INF, None) if a pair is
+        unreachable, by one list BFS per source: on sparse directed hosts
+        (Z2000<1,7>, C30xC30) it beat the bitset BFS of ``Graph``."""
+        best, pair = 0, None
+        for s in range(self.n):
+            row = self.bfs_distances(s)
+            far = max(row)
+            if far == INF:
+                return INF, None
+            if far > best or pair is None:
+                best, pair = far, (s, row.index(far))
+        return best, pair
 
-        One list BFS per source: on sparse directed hosts (Z2000<1,7>,
-        C30xC30) it measured faster than the bitset BFS of ``Graph``."""
-        return _diameter(self.n, self.bfs_distances)[0]
+    def directed_diameter(self):
+        """Max pairwise directed distance; INF iff not strongly connected."""
+        return self._farthest_pair()[0]
 
     def diameter_path(self):
-        """A shortest path realizing the directed diameter (lexicographically
-        first source/target pair), or None when not strongly connected."""
-        pair = _diameter(self.n, self.bfs_distances)[1]
+        """A shortest path realizing the diameter (lexicographically first
+        source/target pair), or None when not strongly connected."""
+        pair = self._farthest_pair()[1]
         return None if pair is None else self.shortest_path(*pair)
 
     def is_strongly_connected(self) -> bool:
@@ -309,11 +289,12 @@ class Digraph:
 
 
 class Graph(Digraph):
-    """Undirected simple graph on 0..n-1: the symmetric digraph whose sorted
-    adjacency ``adj`` is both ``out`` and ``inn``.  ``edges`` may repeat
-    pairs in either orientation; they are ORed into neighbor masks."""
+    """Undirected simple graph on 0..n-1: the symmetric digraph whose state
+    is its neighbor bitmasks ``masks``.  ``edges`` may repeat pairs in either
+    orientation.  The sorted adjacency ``adj``, both ``out`` and ``inn``, is
+    built from the masks on first read."""
 
-    __slots__ = ("adj",)
+    __slots__ = ("masks", "_adj")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -326,36 +307,68 @@ class Graph(Digraph):
                 raise ValueError(f"loop at vertex {u}")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        self.n = n
-        self.adj = self.out = self.inn = tuple(tuple(iter_bits(m)) for m in masks)
+        self.n, self.masks, self._adj = n, tuple(masks), None
 
-    has_edge = Digraph.has_arc
+    @classmethod
+    def from_masks(cls, masks) -> "Graph":
+        """The graph in which vertex v has neighbor mask ``masks[v]``.  Each
+        mask must fit in n bits and leave out its own bit; symmetry is the
+        caller's invariant and is not checked."""
+        masks = tuple(masks)
+        n = len(masks)
+        for v, m in enumerate(masks):
+            if m >> n:
+                raise ValueError(f"mask of vertex {v} out of range for n={n}")
+            if m >> v & 1:
+                raise ValueError(f"loop at vertex {v}")
+        G = cls.__new__(cls)
+        G.n, G.masks, G._adj = n, masks, None
+        return G
+
+    @property
+    def adj(self) -> tuple:
+        if self._adj is None:
+            self._adj = tuple(tuple(iter_bits(m)) for m in self.masks)
+        return self._adj
+
+    out = inn = adj
+
+    def has_arc(self, u: int, v: int) -> bool:
+        return self.masks[u] >> v & 1 == 1
+
+    has_edge = has_arc
 
     @property
     def edge_count(self) -> int:
-        return self.arc_count // 2
+        return sum(m.bit_count() for m in self.masks) // 2
 
     def edges(self):
-        for u, v in self.arcs():
-            if u < v:
+        for u, m in enumerate(self.masks):
+            for v in iter_bits(m & (-1 << (u + 1))):
                 yield (u, v)
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        return INF not in self.bfs_distances(0)
+        return self.n <= 1 or bitset_bfs(self.masks, 0)[0] == (1 << self.n) - 1
+
+    def _farthest_pair(self):
+        """``Digraph._farthest_pair`` by one ``bitset_bfs`` per source.  The
+        eccentricity is the number of levels, and the lowest vertex of the
+        last level is the first one at that distance."""
+        full = (1 << self.n) - 1
+        best, pair = 0, None
+        for s in range(self.n):
+            reached, ecc, last = bitset_bfs(self.masks, s)
+            if reached != full:
+                return INF, None
+            if ecc > best or pair is None:
+                best, pair = ecc, (s, (last & -last).bit_length() - 1)
+        return best, pair
 
     def diameter(self):
-        return _bitset_diameter(self.adj)[0]
-
-    def diameter_path(self):
-        """A shortest path realizing the diameter (lexicographically first
-        source/target pair), or None when disconnected or empty."""
-        pair = _bitset_diameter(self.adj)[1]
-        return None if pair is None else self.shortest_path(*pair)
+        return self._farthest_pair()[0]
 
 
 @dataclass(frozen=True)

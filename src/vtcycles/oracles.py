@@ -264,7 +264,7 @@ def _induced_closures(G: Graph, min_len: int, spent: Budget):
     n = G.n
     if spent.cap is None and n > EXACT_DEFAULT_MAX:
         raise ValueError(f"n={n} needs an explicit budget")
-    adj_masks = adjacency_masks(G.adj)
+    adj_masks = G.masks
     for root in range(n):
         above = -1 << (root + 1)
         root_adj = adj_masks[root]

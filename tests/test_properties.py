@@ -192,6 +192,15 @@ def test_graph_adjacency_matches_a_set_and_sort_rebuild(data):
     if n:
         with pytest.raises(ValueError, match="loop"):
             Graph(n, edges + [(n - 1, n - 1)])
+    # the mask entry point checks each mask's range and loop bit
+    masks = adjacency_masks(rebuilt)
+    assert Graph.from_masks(masks).adj == rebuilt
+    with pytest.raises(ValueError, match="out of range"):
+        Graph.from_masks(masks + [1 << (n + 1)])   # n + 1 masks, bit n + 1
+    if n:
+        v = data.draw(st.integers(0, n - 1))
+        with pytest.raises(ValueError, match="loop"):
+            Graph.from_masks(masks[:v] + [masks[v] | 1 << v] + masks[v + 1:])
 
 
 @settings(max_examples=30, deadline=None)
@@ -232,6 +241,19 @@ def test_family_by_search_matches_transitivity_verdict(D, budget):
     for u, perm in enumerate(fam.permutations):
         assert perm[0] == u
         assert preserves_arc_set(D, perm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(strong_digraphs(), st.integers(min_value=0, max_value=200))
+def test_cycle_graph_matches_pairwise_intersection(D, cap):
+    # a capped enumeration keeps the all-pairs rebuild small on dense hosts
+    cycles = enumerate_directed_cycles(D, max_count=cap)[0]
+    sets = [c.vertex_set() for c in cycles]
+    rows = tuple(tuple(j for j, other in enumerate(sets) if j != i and mine & other)
+                 for i, mine in enumerate(sets))
+    graph = build_cycle_graph(D, cycles).graph
+    assert graph.adj == rows
+    assert graph.masks == tuple(adjacency_masks(rows))
 
 
 def test_stitching_survives_a_random_host_sweep():

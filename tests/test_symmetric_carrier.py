@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vtcycles.cyclegraph import enumerate_directed_cycles
-from vtcycles.digraph import Digraph, Graph
+from vtcycles.digraph import Digraph, Graph, adjacency_masks
 from vtcycles.groups import AutomorphismFamily
 
 from _independent import dfs_cycles_in_order, preserves_edge_set
@@ -39,6 +39,12 @@ def test_graph_agrees_with_the_digraph_of_both_orientations(data):
     assert G.diameter() == D.directed_diameter()
     assert G.diameter_path() == D.diameter_path()
     assert G == D and hash(G) == hash(D)
+    # the same graph handed over as the neighbor masks of its rows
+    H = Graph.from_masks(adjacency_masks(D.out))
+    assert H.masks == G.masks and H.adj == G.adj
+    assert list(H.edges()) == list(G.edges()) and H.edge_count == G.edge_count
+    assert H.is_connected() == G.is_connected()
+    assert (H.diameter(), H.diameter_path()) == (G.diameter(), G.diameter_path())
 
 
 @settings(max_examples=150, deadline=None)
