@@ -1,8 +1,11 @@
 """Vertex expansion measurement and the descendant-driven long-cycle search.
 
-The expansion scan is exhaustive over subsets (hence hard-capped at n = 20),
-with every threshold comparison done in exact rational arithmetic: the
-boundary cases 3|U| = n and 3|U| = 2n must never fall to float rounding.
+The exact expansion scan scores every subset (hence the hard cap at n = 20),
+but bit-sliced: subset U is bit U of a Python int, neighbourhood sizes are
+ripple-carry sums held in bit slices, and each step is one big-int operation
+over all 2^n subsets at once.  Every threshold comparison is done in exact
+rational arithmetic: the boundary cases 3|U| = n and 3|U| = 2n must never
+fall to float rounding.
 """
 
 from __future__ import annotations
@@ -36,7 +39,26 @@ class ExpansionReport:
 
 
 def expansion_exact(D: Digraph) -> ExpansionReport:
-    """Exhaustive expansion scan over all 2^n subsets."""
+    """Exact expansion minimum, all 2^n subsets scored at once.
+
+    Subset U is bit U of every lane (a Python int of 2^n bits), so each step
+    is a few big-int operations over all subsets together:
+
+    1. lane X_j holds the subsets that contain vertex j;
+    2. v is in N+[U] exactly when U meets {v} or N-(v), so the OR of those
+       X_u marks the subsets where v counts towards |N+[U]| (and likewise
+       for N-[U] with N+(v));
+    3. ripple-carry sums of these lanes into bit slices give |N+[U]|,
+       |N-[U]| and |U| for every U;
+    4. for each size k <= 2n/3 the smallest c at which some U of size k has
+       min(|N+[U]|, |N-[U]|) <= c gives that size's best ratio (c - k)/k,
+       compared exactly as a Fraction; the subsets of every size that ties
+       at the minimum are kept as one lane of candidates;
+    5. the lexicographically smallest candidate is picked greedily, vertex
+       by vertex: stop once the chosen prefix is itself a candidate, else
+       keep the candidates that contain the next vertex if there are any,
+       and those without it if none do.
+    """
     n = D.n
     if n < 2:
         raise ValueError("expansion needs at least 2 vertices")
@@ -44,33 +66,83 @@ def expansion_exact(D: Digraph) -> ExpansionReport:
         raise ValueError(
             f"exact expansion scan is capped at n={EXPANSION_EXACT_MAX}; "
             f"got n={n} (use expansion_sampled)")
-    out_masks = adjacency_masks(D.out)
-    in_masks = adjacency_masks(D.inn)
-    size_limit = (2 * n) // 3
-    total = 1 << n
-    out_union = [0] * total
-    in_union = [0] * total
-    best_num = None   # best ratio as best_num / best_den
-    best_den = 1
-    best_mask = 0
-    for mask in range(1, total):
-        low = mask & (-mask)
-        v = low.bit_length() - 1
-        rest = mask ^ low
-        out_union[mask] = out_union[rest] | out_masks[v]
-        in_union[mask] = in_union[rest] | in_masks[v]
-        k = mask.bit_count()
-        if k > size_limit:
-            continue
-        boundary = min((out_union[mask] & ~mask).bit_count(),
-                       (in_union[mask] & ~mask).bit_count())
-        if best_num is None or boundary * best_den < best_num * k:
-            best_num, best_den, best_mask = boundary, k, mask
-        elif boundary * best_den == best_num * k:
-            if tuple(iter_bits(mask)) < tuple(iter_bits(best_mask)):
-                best_mask = mask
-    return ExpansionReport(Fraction(best_num, best_den),
-                           frozenset(iter_bits(best_mask)), True)
+    lanes = _subset_lanes(n)
+    size = _closure_sizes(lanes, [0] * n)   # no neighbours: |U| itself
+    out_size = _closure_sizes(lanes, adjacency_masks(D.inn))
+    in_size = _closure_sizes(lanes, adjacency_masks(D.out))
+    fits = {}   # c -> subsets whose smaller closed neighbourhood has <= c vertices
+    best, ties = None, 0
+    for k in range(1, (2 * n) // 3 + 1):
+        layer = -1
+        for i, s in enumerate(size):
+            layer &= s if k >> i & 1 else ~s
+        c = k
+        while True:
+            if c not in fits:
+                fits[c] = _at_most(out_size, c) | _at_most(in_size, c)
+            hits = layer & fits[c]
+            if hits:
+                break
+            c += 1
+        ratio = Fraction(c - k, k)
+        if best is None or ratio < best:
+            best, ties = ratio, hits
+        elif ratio == best:
+            ties |= hits
+    chosen = 0
+    for j, lane in enumerate(lanes):
+        if ties >> chosen & 1:
+            break
+        if ties & lane:
+            ties &= lane
+            chosen |= 1 << j
+        else:
+            ties &= ~lane
+    return ExpansionReport(best, frozenset(iter_bits(chosen)), True)
+
+
+def _subset_lanes(n: int) -> list:
+    """X_j for j < n: bit U of X_j is set iff vertex j is in subset U.  Each
+    is one period (2^j zeros, then 2^j ones) doubled up to 2^n bits; dividing
+    big ints would be quadratic."""
+    lanes = []
+    for j in range(n):
+        period = 1 << j
+        lane = ((1 << period) - 1) << period
+        period <<= 1
+        while period < 1 << n:
+            lane |= lane << period
+            period <<= 1
+        lanes.append(lane)
+    return lanes
+
+
+def _closure_sizes(lanes: list, masks: list) -> list:
+    """|{v : U meets {v} or masks[v]}| for every subset U, as bit slices
+    (slice i holds bit i of each count) summed with a ripple carry."""
+    sizes = [0] * len(masks).bit_length()
+    for v, mask in enumerate(masks):
+        carry = 0
+        for u in iter_bits(mask | 1 << v):
+            carry |= lanes[u]
+        for i, s in enumerate(sizes):
+            if not carry:
+                break
+            sizes[i], carry = s ^ carry, s & carry
+    return sizes
+
+
+def _at_most(slices: list, c: int) -> int:
+    """Subsets whose bit-sliced counter is at most ``c``: the complement of
+    counter > c, found from the top slice down."""
+    above, equal = 0, -1
+    for i in range(len(slices) - 1, -1, -1):
+        if c >> i & 1:
+            equal &= slices[i]
+        else:
+            above |= equal & slices[i]
+            equal &= ~slices[i]
+    return ~above
 
 
 def expansion_sampled(D: Digraph, samples: int = 10_000, seed: int = 0) -> ExpansionReport:

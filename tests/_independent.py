@@ -2,11 +2,11 @@
 
 These deliberately share no code with the package: second implementations
 of gcd, BFS (directed and undirected), cycle enumeration (in discovery
-order), Hamiltonicity, the expansion minimum, the automorphism checks on
-arc and edge sets, the left-translation certificate and the tables of the
-cyclic and dihedral groups and their products, coded in the most
-naive way available, so that agreement between the two routes is
-meaningful evidence.
+order), Hamiltonicity, the expansion minimum and its smallest minimizer,
+the automorphism checks on arc and edge sets, the left-translation
+certificate and the tables of the cyclic and dihedral groups and their
+products, coded in the most naive way available, so that agreement between
+the two routes is meaningful evidence.
 """
 
 from collections import deque
@@ -174,7 +174,9 @@ def product_table(t1, t2):
 
 
 def subset_expansion_minimum(D):
-    """Expansion minimum by materializing every subset as a frozenset."""
+    """Expansion minimum and its lexicographically smallest minimizer, by
+    materializing every subset as a frozenset: min over (ratio, sorted
+    tuple) of every nonempty U with |U| <= 2n/3."""
     n = D.n
     best = None
     for k in range(1, (2 * n) // 3 + 1):
@@ -184,9 +186,9 @@ def subset_expansion_minimum(D):
             np = {w for u in U for w in D.out[u]} & outside
             nm = {w for u in U for w in D.inn[u]} & outside
             ratio = Fraction(min(len(np), len(nm)), k)
-            if best is None or ratio < best:
-                best = ratio
-    return best
+            if best is None or (ratio, combo) < best:
+                best = (ratio, combo)
+    return best[0], frozenset(best[1])
 
 
 def subset_induced_cycles(G):

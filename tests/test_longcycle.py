@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from vtcycles.digraph import Digraph
 from vtcycles.gadgets import (complete_bidirected, cycle_digraph,
                               directed_cycle_product, toroidal_gadget)
 from vtcycles.groups import cayley_digraph
-from vtcycles.longcycle import (dfs_long_cycle, expansion_check_transitive_bound,
+from vtcycles.longcycle import (ExpansionReport, dfs_long_cycle,
+                                expansion_check_transitive_bound,
                                 expansion_exact, expansion_sampled, long_path)
 from vtcycles.oracles import brute_longest_path
 from vtcycles.verify import small_cayley_corpus
@@ -39,13 +41,37 @@ def test_expansion_refuses_large_instances():
         expansion_exact(complete_bidirected(21))
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=2, max_value=7), st.data())
-def test_expansion_matches_subset_oracle(n, data):
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    arcs = data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=2, max_value=10),
+       st.sampled_from((0.0, 0.05, 0.15, 0.3, 0.5, 0.7, 0.9, 1.0)),
+       st.randoms(use_true_random=False))
+def test_expansion_matches_subset_oracle(n, density, rng):
+    """The whole report, witness included, against the frozenset oracle.
+    Empty, sparse and complete digraphs are where many subsets tie."""
+    arcs = [(u, v) for u in range(n) for v in range(n)
+            if u != v and rng.random() < density]
     D = Digraph(n, arcs)
-    assert expansion_exact(D).alpha_lower == subset_expansion_minimum(D)
+    alpha, witness = subset_expansion_minimum(D)
+    rep = expansion_exact(D)
+    assert (rep.alpha_lower, rep.witness_set) == (alpha, witness)
+
+
+@pytest.mark.parametrize("D, alpha, witness", [
+    (Digraph(20, []), Fraction(0), {0}),
+    (complete_bidirected(20), Fraction(7, 13), set(range(13))),
+], ids=["empty20", "complete20"])
+def test_expansion_at_the_cap_is_exact_and_small(D, alpha, witness):
+    """n = 20: every subset ties on the empty digraph, and on K20 the best
+    size is the largest allowed one.  The scan holds a few 2^20-bit lanes,
+    not tables with 2^20 entries."""
+    tracemalloc.start()
+    try:
+        rep = expansion_exact(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep == ExpansionReport(alpha, frozenset(witness), True)
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_sampled_expansion_upper_bounds_exact():
