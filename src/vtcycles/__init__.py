@@ -25,9 +25,9 @@ from .oracles import (SearchResult, brute_hamiltonian, brute_longest_cycle,
                       longest_cycles_pairwise_intersect)
 from .cyclegraph import (CycleGraph, build_cycle_graph,
                          complete_directed_cycles, cycle_graph_diameter_check,
-                         enumerate_directed_cycles, induced_cycle_via_symmetry,
-                         is_nearly_transitive, lift_automorphisms,
-                         pipeline_n13, stitch_directed_cycle)
+                         induced_cycle_via_symmetry, is_nearly_transitive,
+                         lift_automorphisms, pipeline_n13,
+                         stitch_directed_cycle)
 from .numbergap import (MotohashiPair, SplitCheck, WitnessCertificate,
                         divisibility_gap_bound, motohashi_pairs,
                         perimeter_gap_table, prime_partitionable_check,

@@ -3,9 +3,10 @@ enumerate directed cycles, build their intersection graph, lift automorphism
 families onto it, extract a long induced cycle, and stitch it back into a
 long directed cycle of the host.
 
-Cycle enumeration is exponential in general, so every entry point carries
-caps; truncation is always surfaced in results and disables any conclusion
-that needs completeness.
+Cycle enumeration is exponential in general, so its one entry point,
+``complete_directed_cycles``, carries a count cap: past the cap it returns
+None and builds no cycle, and every conclusion that needs the complete
+cycle set is withheld.
 """
 
 from __future__ import annotations
@@ -20,58 +21,41 @@ from .digraph import (Budget, Digraph, DirectedCycle, Graph, INF,
                       directed_cycle, iter_bits)
 from .groups import AutomorphismFamily
 from .longcycle import dfs_long_cycle
-from .oracles import brute_longest_induced_cycle, simple_paths
+from .oracles import EXACT_DEFAULT_MAX, brute_longest_induced_cycle
 
 DEFAULT_MAX_COUNT = 10 ** 6
-UNBOUNDED_N_MAX = 20
 SPOT_CHECK_PAIRS = 100
 
 log = logging.getLogger("vtc")
 
 
 class EnumerationIncomplete(RuntimeError):
-    """An operation that requires a complete cycle enumeration met a
-    truncated one."""
+    """An operation that needs every cycle of the host met a cycle graph
+    built over only some of them."""
 
 
 # --- enumeration -----------------------------------------------------------
 
-def enumerate_directed_cycles(D: Digraph, max_len=None, max_count=None):
-    """All simple directed cycles, canonicalized, complete within bounds.
-
-    Unbounded enumeration (both caps None) is allowed only for n <= 20.
-    Uses the blocked-set circuit enumeration rooted at each vertex in
-    ascending order when no length bound is given, and a plain bounded walk
-    over ``simple_paths`` otherwise (blocking is unsound under length
-    cutoffs).  Both are iterative.  Returns (cycles, truncated): under
-    truncation, the first ``max_count`` cycles in enumeration order.  A
-    caller that discards a truncated list calls
-    ``complete_directed_cycles`` instead.
-    """
-    found, count_cap = _cycle_walk(D, max_len, max_count)
-    cycles = []
-    for _, path in found:
-        if len(cycles) >= count_cap:
-            return cycles, True
-        cycles.append(DirectedCycle(tuple(path)))
-    return cycles, False
-
-
 def complete_directed_cycles(D: Digraph, max_count=None):
-    """The cycles of ``enumerate_directed_cycles(D, max_count=max_count)``
-    when that enumeration is complete, else None.
+    """All simple directed cycles of D, canonicalized, in the order of
+    Johnson's walk (roots ascending, out-neighbors sorted), or None when
+    there are more than ``max_count`` (10^6 when None).
 
-    The walk is the same, but it records each cycle as its change from the
-    previous one, and the cycles are built from that record only once the
-    walk has ended within the cap: more than ``max_count`` cycles build
-    none.  The unbounded guard raises ``ValueError`` as there.
+    Without ``max_count``, n > 20 raises ``ValueError``.  The walk records
+    each cycle as its change from the previous one, and the cycles are
+    built from that record only once the walk has ended within the cap:
+    past it, none is built.
     """
-    found, count_cap = _cycle_walk(D, None, max_count)
+    if max_count is None and D.n > EXACT_DEFAULT_MAX:
+        raise ValueError(
+            f"unbounded enumeration is capped at n={EXACT_DEFAULT_MAX}; "
+            "pass max_count")
+    cap = DEFAULT_MAX_COUNT if max_count is None else max_count
     # cycle i is the first keeps[i] vertices of cycle i - 1 followed by
     # tails[ends[i - 1]:ends[i]]; flat integers, no object per cycle
     keeps, ends, tails = [], [], []
-    for keep, path in found:
-        if len(keeps) >= count_cap:
+    for keep, path in _johnson(D):
+        if len(keeps) >= cap:
             return None
         keeps.append(keep)
         tails += path[keep:]
@@ -94,35 +78,15 @@ def _log_enumeration(stage: str, cycles, max_count) -> None:
         log.info("%s: %d cycles, complete", stage, len(cycles))
 
 
-def _cycle_walk(D: Digraph, max_len, max_count):
-    """The cycle walk of the enumeration and its count cap.  The walk
-    yields (keep, path) per cycle: the live path, whose first ``keep``
-    vertices are those of the previous cycle (always 0 on the bounded
-    walk)."""
-    n = D.n
-    if max_len is None and max_count is None and n > UNBOUNDED_N_MAX:
-        raise ValueError(
-            f"unbounded enumeration is capped at n={UNBOUNDED_N_MAX}; "
-            "pass max_len and/or max_count")
-    count_cap = DEFAULT_MAX_COUNT if max_count is None else max_count
-    len_cap = n if max_len is None else min(max_len, n)
-    # Both searches start each cycle at its root, its minimum vertex, so
-    # every path found is already in canonical rotation.
-    if len_cap >= n:
-        return _johnson(D), count_cap
-    return ((0, path) for root in range(n)
-            for path in simple_paths(D, root, Budget(), above=root,
-                                     max_len=len_cap)
-            if len(path) >= 2 and D.has_arc(path[-1], root)), count_cap
-
-
 def _johnson(D: Digraph):
     """Johnson's circuit enumeration with an explicit stack: ``frames[i]``
     iterates the out-neighbors of ``path[i]``.  Yields each circuit as
     (closed, path): the live path, and the length of its prefix that is
-    unchanged since the previous yield (0 at a root's first circuit).  A
-    vertex whose subtree closed a circuit is unblocked on the way back, any
-    other one waits on the B-lists of its out-neighbors."""
+    unchanged since the previous yield (0 at a root's first circuit).  The
+    path starts at its root, the circuit's minimum vertex, so it is already
+    in canonical rotation.  A vertex whose subtree closed a circuit is
+    unblocked on the way back, any other one waits on the B-lists of its
+    out-neighbors."""
     out_masks, in_masks = adjacency_masks(D.out), adjacency_masks(D.inn)
     for root in range(D.n):
         # root's strong component among root..n-1: what root reaches inside
@@ -183,26 +147,22 @@ def _unblock(v, blocked, blist) -> None:
 
 @dataclass(frozen=True)
 class CycleGraph:
-    """Intersection graph over an enumerated cycle set.
+    """Intersection graph over a list of cycles, as a rule the complete
+    list of ``complete_directed_cycles``.
 
     ``graph`` is the undirected adjacency over cycle indices; two indices
-    are adjacent iff the cycles share a vertex.  ``membership`` maps each
-    host vertex to the indices of the cycles containing it.  ``truncated``
-    records whether the enumeration was cut short, so later stages can tell
-    whether conclusions that need completeness are available.
+    are adjacent iff the cycles share a vertex.
     """
 
     cycles: tuple
     graph: Graph
-    membership: tuple
-    truncated: bool
 
     @property
     def order(self) -> int:
         return len(self.cycles)
 
 
-def build_cycle_graph(D: Digraph, cycles, truncated=False) -> CycleGraph:
+def build_cycle_graph(D: Digraph, cycles) -> CycleGraph:
     """Intersection adjacency via per-vertex membership bitsets: cycle i's
     neighbor mask, the OR of its vertices' membership masks minus bit i,
     goes straight into ``Graph.from_masks``; no pair or edge list is built.
@@ -211,11 +171,9 @@ def build_cycle_graph(D: Digraph, cycles, truncated=False) -> CycleGraph:
     set intersection on every build.
     """
     k = len(cycles)
-    membership = [[] for _ in range(D.n)]
     vert_mask = [0] * D.n
     for i, c in enumerate(cycles):
         for v in c.vertices:
-            membership[v].append(i)
             vert_mask[v] |= 1 << i
 
     neighbors = []
@@ -237,19 +195,14 @@ def build_cycle_graph(D: Digraph, cycles, truncated=False) -> CycleGraph:
             assert graph.has_edge(i, j) == shares, \
                 f"intersection adjacency mismatch at pair ({i},{j})"
 
-    return CycleGraph(tuple(cycles), graph, tuple(tuple(m) for m in membership),
-                      truncated)
-
-
-def cycle_graph_of(D: Digraph, max_count=None) -> CycleGraph:
-    cycles, truncated = enumerate_directed_cycles(D, max_count=max_count)
-    return build_cycle_graph(D, cycles, truncated)
+    return CycleGraph(tuple(cycles), graph)
 
 
 def dump_cycle_graph(cg: CycleGraph) -> str:
-    """Header ``cycles k truncated {0|1}``, one vertex-list line per cycle,
-    then adjacency as index pairs."""
-    lines = [f"cycles {cg.order} truncated {1 if cg.truncated else 0}"]
+    """Header ``cycles k truncated 0``, one vertex-list line per cycle,
+    then adjacency as index pairs.  The flag field stays in the format and
+    always reads 0."""
+    lines = [f"cycles {cg.order} truncated 0"]
     for c in cg.cycles:
         lines.append(" ".join(str(v) for v in c.vertices))
     for i, j in cg.graph.edges():
@@ -393,11 +346,9 @@ def lift_automorphisms(D: Digraph, fam: AutomorphismFamily,
     """Each host automorphism permutes the enumerated cycles; the permuted
     indexing is an automorphism of the cycle graph.
 
-    Requires a complete enumeration: an image cycle that cannot be found is
-    an invariant breach, reported as a hard error.
+    Requires every cycle of the host: an image cycle missing from
+    ``cg.cycles`` raises ``EnumerationIncomplete``.
     """
-    if cg.truncated:
-        raise EnumerationIncomplete("cannot lift over a truncated cycle set")
     index = {c.vertices: i for i, c in enumerate(cg.cycles)}
     lifted = []
     for p in fam.permutations:
@@ -687,15 +638,14 @@ def _tail_is_geodesic(G: Graph, path, q) -> bool:
     return G.bfs_distances(tail[0])[tail[-1]] == q - 1
 
 
-def _longest_induced_path_with_geodesic_tail(G: Graph, q: int, seed,
-                                             budget=None):
+def _longest_induced_path_with_geodesic_tail(G: Graph, q: int, seed, budget):
     """Longest induced path whose last q vertices form a geodesic, by a
-    best-effort DFS under a node budget (200,000 unless given), seeded with
-    (and never worse than) the provided qualifying path.
+    best-effort DFS under a node budget, seeded with (and never worse than)
+    the provided qualifying path.
     """
     assert _qualifies(G, list(seed), q), "seed path must qualify"
     best = list(seed)
-    spent = Budget(budget or 200_000)
+    spent = Budget(budget)
 
     for start in range(G.n):
         # frames[i]: (neighbors of path[i] left to try, vertices blocked by

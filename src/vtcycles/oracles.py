@@ -42,15 +42,14 @@ class SearchResult:
     expansions: int
 
 
-def simple_paths(D: Digraph, start: int, budget: Budget, above: int = -1,
-                 max_len=None):
+def simple_paths(D: Digraph, start: int, budget: Budget, above: int = -1):
     """Simple directed paths from ``start``, in depth-first preorder.
 
     Out-neighbors are taken in sorted order, and only those greater than
-    ``above``; a path of ``max_len`` vertices is not extended.  Entering a
-    path, ``[start]`` included, spends one node of ``budget``, and the walk
-    ends at the first refused node, leaving ``budget.exhausted`` set.  The
-    yielded list is the live path: copy it to keep it.
+    ``above``.  Entering a path, ``[start]`` included, spends one node of
+    ``budget``, and the walk ends at the first refused node, leaving
+    ``budget.exhausted`` set.  The yielded list is the live path: copy it
+    to keep it.
     """
     out = D.out
     path = []
@@ -61,10 +60,7 @@ def simple_paths(D: Digraph, start: int, budget: Budget, above: int = -1,
         path.append(w)
         visited |= 1 << w
         yield path
-        if max_len is None or len(path) < max_len:
-            frames.append(iter(out[w]))
-        else:
-            visited ^= 1 << path.pop()
+        frames.append(iter(out[w]))
         # advance to the next fresh neighbor, backtracking as frames run out
         w = None
         while frames and w is None:

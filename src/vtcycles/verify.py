@@ -20,7 +20,7 @@ from .groups import CayleySpec, cayley_digraph, cyclic_group, dihedral_group
 from .longcycle import dfs_long_cycle, expansion_exact, long_path
 from .numbergap import divisibility_gap_bound, trotter_erdos_necessary
 from .oracles import brute_hamiltonian, induced_cycles, max_disjoint_cycles
-from .cyclegraph import build_cycle_graph, enumerate_directed_cycles, stitch_directed_cycle
+from .cyclegraph import build_cycle_graph, complete_directed_cycles, stitch_directed_cycle
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,8 @@ def suite_divisibility(max_order: int = 20) -> SuiteResult:
     rows = []
     for n1, n2 in product_pairs(max_order):
         D = directed_cycle_product(n1, n2)
-        cycles, truncated = enumerate_directed_cycles(D)
-        assert not truncated
+        cycles = complete_directed_cycles(D)
+        assert cycles is not None
         d = gcd(n1, n2)
         lengths_ok = True
         for c in cycles:
@@ -109,8 +109,8 @@ def suite_figure1(max_k: int = 4) -> SuiteResult:
     rows = []
     for k in range(1, max_k + 1):
         D = four_cycle_chain(k, verify=False)
-        cycles, truncated = enumerate_directed_cycles(D)
-        assert not truncated
+        cycles = complete_directed_cycles(D)
+        assert cycles is not None
         longest = max(c.length for c in cycles)
         four_cycles = [c for c in cycles if c.length == 4]
         want = k // 2
@@ -240,8 +240,8 @@ def suite_lemma27(hosts=None) -> SuiteResult:
     host stitches into a valid directed cycle at least that long."""
     rows = []
     for name, D in (hosts or stitch_hosts()):
-        cycles, truncated = enumerate_directed_cycles(D)
-        assert not truncated
+        cycles = complete_directed_cycles(D)
+        assert cycles is not None
         cg = build_cycle_graph(D, cycles)
         found, exact = induced_cycles(cg.graph, min_len=4, budget=10 ** 7)
         checked = 0

@@ -10,9 +10,9 @@ from vtcycles.gadgets import (cycle_digraph, directed_cycle_product,
 from vtcycles.groups import AutomorphismFamily, left_translations
 from vtcycles.oracles import brute_longest_cycle, induced_cycles
 from vtcycles.cyclegraph import (EnumerationIncomplete, StitchError,
-                                 build_cycle_graph, cycle_graph_diameter_check,
-                                 cycle_graph_of, dump_cycle_graph,
-                                 enumerate_directed_cycles,
+                                 _longest_induced_path_with_geodesic_tail,
+                                 build_cycle_graph, complete_directed_cycles,
+                                 cycle_graph_diameter_check, dump_cycle_graph,
                                  induced_cycle_via_symmetry,
                                  is_nearly_transitive, lift_automorphisms,
                                  pipeline_n13, stitch_directed_cycle)
@@ -30,30 +30,34 @@ def undirected_cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def complete_cycle_graph(D):
+    return build_cycle_graph(D, complete_directed_cycles(D))
+
+
 # --- enumeration -------------------------------------------------------------
 
 def test_enumerate_single_cycle():
-    cycles, truncated = enumerate_directed_cycles(cycle_digraph(5))
-    assert not truncated and len(cycles) == 1
+    cycles = complete_directed_cycles(cycle_digraph(5))
+    assert cycles is not None and len(cycles) == 1
     assert cycles[0].vertices == (0, 1, 2, 3, 4)
 
 
 def test_enumerate_digon_chain():
     D = Digraph(4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)])
-    cycles, _ = enumerate_directed_cycles(D)
+    cycles = complete_directed_cycles(D)
     assert sorted(c.vertices for c in cycles) == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_enumerate_matches_independent_dfs():
     for D in (directed_cycle_product(2, 3), directed_cycle_product(3, 3),
               four_cycle_chain(2), triangle_ring(4)):
-        cycles, truncated = enumerate_directed_cycles(D)
-        assert not truncated
+        cycles = complete_directed_cycles(D)
+        assert cycles is not None
         assert {c.vertices for c in cycles} == dfs_all_cycles(D)
 
 
 def test_enumerate_c2xc3_census():
-    cycles, _ = enumerate_directed_cycles(directed_cycle_product(2, 3))
+    cycles = complete_directed_cycles(directed_cycle_product(2, 3))
     by_len = {}
     for c in cycles:
         by_len[c.length] = by_len.get(c.length, 0) + 1
@@ -61,67 +65,50 @@ def test_enumerate_c2xc3_census():
 
 
 def test_enumerate_truncation_is_flagged():
-    cycles, truncated = enumerate_directed_cycles(
-        directed_cycle_product(2, 3), max_count=5)
-    assert truncated and len(cycles) == 5
-
-
-def test_enumerate_length_bound():
-    cycles, _ = enumerate_directed_cycles(directed_cycle_product(2, 3),
-                                          max_len=3)
-    assert all(c.length <= 3 for c in cycles)
-    assert len(cycles) == 5
+    # 11 cycles: past a cap of 5 there is no list at all
+    assert complete_directed_cycles(directed_cycle_product(2, 3), 5) is None
 
 
 def test_enumerate_deep_cycle_without_recursion():
     # Johnson's search walks 3000 vertices deep before closing the cycle
-    cycles, truncated = enumerate_directed_cycles(cycle_digraph(3000),
-                                                  max_count=1)
-    assert not truncated
+    cycles = complete_directed_cycles(cycle_digraph(3000), max_count=1)
+    assert cycles is not None
     assert [c.vertices for c in cycles] == [tuple(range(3000))]
 
 
 def test_enumerate_refuses_unbounded_large():
     with pytest.raises(ValueError, match="capped"):
-        enumerate_directed_cycles(toroidal_gadget(3, verify=False))
+        complete_directed_cycles(toroidal_gadget(3, verify=False))
 
 
 # --- cycle graph construction ------------------------------------------------
 
 def test_single_cycle_graph_is_isolated_vertex():
-    cg = cycle_graph_of(cycle_digraph(4))
+    cg = complete_cycle_graph(cycle_digraph(4))
     assert cg.order == 1 and cg.graph.edge_count == 0
 
 
 def test_disjoint_triangles_are_isolated():
     D = Digraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-    cg = cycle_graph_of(D)
+    cg = complete_cycle_graph(D)
     assert cg.order == 2 and cg.graph.edge_count == 0
 
 
 def test_cycle_graph_connected_for_strong_hosts():
     for D in (four_cycle_chain(3), directed_cycle_product(2, 4),
               toroidal_gadget(1)):
-        cg = cycle_graph_of(D)
-        assert not cg.truncated
+        cg = complete_cycle_graph(D)
         assert cg.graph.is_connected()
 
 
-def test_membership_index():
-    cg = cycle_graph_of(directed_cycle_product(2, 2))
-    for v in range(4):
-        for idx in cg.membership[v]:
-            assert v in cg.cycles[idx].vertex_set()
-
-
 def test_dump_format():
-    cg = cycle_graph_of(cycle_digraph(3))
+    cg = complete_cycle_graph(cycle_digraph(3))
     text = dump_cycle_graph(cg)
     assert text.splitlines()[0] == "cycles 1 truncated 0"
     assert text.splitlines()[1] == "0 1 2"
 
 
-# sha256 of dump_cycle_graph(cycle_graph_of(D)), recorded while the cycle
+# sha256 of dump_cycle_graph(complete_cycle_graph(D)), recorded while the cycle
 # graph was still built from a materialised edge list
 DUMP_DIGESTS = {
     "C2xC8": ("d0ac3f908e8bb406376ed55372f72c75"
@@ -142,7 +129,7 @@ DUMP_DIGESTS = {
     ("chain(3)", lambda: four_cycle_chain(3)),
 ])
 def test_cycle_graph_dump_matches_recorded_digest(name, build):
-    text = dump_cycle_graph(cycle_graph_of(build()))
+    text = dump_cycle_graph(complete_cycle_graph(build()))
     assert hashlib.sha256(text.encode()).hexdigest() == DUMP_DIGESTS[name]
 
 
@@ -180,7 +167,7 @@ def test_diameter_check_skips_the_cycle_graph_when_truncated(monkeypatch):
 
 def test_stitch_triangle_ring():
     D = triangle_ring(4)
-    cg = cycle_graph_of(D)
+    cg = complete_cycle_graph(D)
     triangles = [i for i, c in enumerate(cg.cycles) if c.length == 3]
     order = [triangles[0]]
     while len(order) < 4:
@@ -193,11 +180,11 @@ def test_stitch_triangle_ring():
 
 def test_stitch_rejects_short_and_chorded_input():
     D = triangle_ring(4)
-    cg = cycle_graph_of(D)
+    cg = complete_cycle_graph(D)
     with pytest.raises(StitchError, match=">= 4"):
         stitch_directed_cycle(D, cg, [0, 1, 2])
     five = triangle_ring(5)
-    cg5 = cycle_graph_of(five)
+    cg5 = complete_cycle_graph(five)
     tri = [i for i, c in enumerate(cg5.cycles) if c.length == 3]
     # five triangles in ring order, then swap two to break adjacency
     order = [tri[0]]
@@ -212,7 +199,7 @@ def test_stitch_rejects_short_and_chorded_input():
 
 def test_stitch_every_induced_cycle_of_toroidal():
     D = toroidal_gadget(1)
-    cg = cycle_graph_of(D)
+    cg = complete_cycle_graph(D)
     found, exact = induced_cycles(cg.graph, min_len=4, budget=10 ** 7)
     assert exact and found
     for seq in found:
@@ -224,7 +211,7 @@ def test_stitch_every_induced_cycle_of_toroidal():
 
 def test_identity_lifts_to_identity():
     D = directed_cycle_product(2, 3)
-    cg = cycle_graph_of(D)
+    cg = complete_cycle_graph(D)
     ident = AutomorphismFamily(6, (tuple(range(6)),))
     lifted = lift_automorphisms(D, ident, cg)
     assert lifted.permutations[0] == tuple(range(cg.order))
@@ -232,7 +219,7 @@ def test_identity_lifts_to_identity():
 
 def test_rotation_lifts_to_identity_on_single_vertex():
     D = cycle_digraph(5)
-    cg = cycle_graph_of(D)
+    cg = complete_cycle_graph(D)
     fam = AutomorphismFamily(5, (tuple((i + 1) % 5 for i in range(5)),))
     lifted = lift_automorphisms(D, fam, cg)
     assert lifted.permutations[0] == (0,)
@@ -240,19 +227,20 @@ def test_rotation_lifts_to_identity_on_single_vertex():
 
 def test_toroidal_translations_lift_preserving_edges():
     D = toroidal_gadget(1)
-    cg = cycle_graph_of(D)
+    cg = complete_cycle_graph(D)
     fam = toroidal_translations(1)
     lifted = lift_automorphisms(D, fam, cg)  # validate_digraph runs inside
     assert len(lifted) == len(fam)
 
 
-def test_lift_requires_complete_enumeration():
+def test_lift_over_part_of_the_cycles_is_refused():
+    spec = product_cayley_spec(2, 3)
     D = directed_cycle_product(2, 3)
-    cycles, _ = enumerate_directed_cycles(D, max_count=4)
-    cg = build_cycle_graph(D, cycles, truncated=True)
-    ident = AutomorphismFamily(6, (tuple(range(6)),))
-    with pytest.raises(EnumerationIncomplete):
-        lift_automorphisms(D, ident, cg)
+    cycles = complete_directed_cycles(D)
+    # the first 4 cycles: every translation maps one of them outside
+    cg = build_cycle_graph(D, cycles[:4])
+    with pytest.raises(EnumerationIncomplete, match="image cycle missing"):
+        lift_automorphisms(D, left_translations(spec), cg)
 
 
 def test_near_transitivity():
@@ -265,7 +253,7 @@ def test_near_transitivity():
 
 def test_lifted_family_is_nearly_transitive_on_toroidal():
     D = toroidal_gadget(1)
-    cg = cycle_graph_of(D)
+    cg = complete_cycle_graph(D)
     lifted = lift_automorphisms(D, toroidal_translations(1), cg)
     assert is_nearly_transitive(cg.graph, lifted)
 
@@ -281,6 +269,14 @@ def test_symmetry_cycle_on_c50():
     if report["mode"] == "construction":
         deco = report["decomposition"]
         assert len(deco.S) == 26 and deco.w == deco.P[-1]
+
+
+def test_geodesic_tail_search_with_a_zero_budget_returns_the_seed():
+    G = undirected_cycle(50)
+    seed = G.diameter_path()                 # 26 vertices, diameter 25
+    q = (25 - 5 + 1) // 2
+    path = _longest_induced_path_with_geodesic_tail(G, q, seed, budget=0)
+    assert path == list(seed)
 
 
 def test_symmetry_cycle_falls_back_under_tiny_budget():

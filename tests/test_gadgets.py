@@ -6,7 +6,7 @@ from vtcycles.gadgets import (GadgetVerificationError, cycle_digraph,
                               toroidal_translations)
 from vtcycles.oracles import (brute_hamiltonian, brute_longest_cycle,
                               brute_longest_path, max_disjoint_cycles)
-from vtcycles.cyclegraph import enumerate_directed_cycles
+from vtcycles.cyclegraph import complete_directed_cycles
 
 
 def test_cycle_digraph_bounds():
@@ -44,8 +44,8 @@ def test_chain_longest_cycle_exactly_four():
 
 
 def test_chain_three_disjoint_four_cycles_at_k3():
-    cycles, truncated = enumerate_directed_cycles(four_cycle_chain(3))
-    assert not truncated
+    cycles = complete_directed_cycles(four_cycle_chain(3))
+    assert cycles is not None
     four = [c for c in cycles if c.length == 4]
     count, exact = max_disjoint_cycles(four)
     assert exact and count >= 3

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vtcycles.cyclegraph import build_cycle_graph, enumerate_directed_cycles
+from vtcycles.cyclegraph import build_cycle_graph, complete_directed_cycles
 from vtcycles.digraph import Digraph, Graph, UNKNOWN
 from vtcycles.gadgets import (complete_bidirected, cycle_digraph,
                               directed_cycle_product, four_cycle_chain,
@@ -62,12 +62,12 @@ def test_longest_cycle_chain_is_four():
 
 
 def test_longest_cycle_c2xc3_matches_enumeration():
-    from vtcycles.cyclegraph import enumerate_directed_cycles
+    from vtcycles.cyclegraph import complete_directed_cycles
 
     D = directed_cycle_product(2, 3)
     res = brute_longest_cycle(D)
-    cycles, truncated = enumerate_directed_cycles(D)
-    assert not truncated
+    cycles = complete_directed_cycles(D)
+    assert cycles is not None
     assert res.exact
     # only arc-count patterns 2,3,5 are possible here; gap is 1, not 0
     assert res.best.length == max(c.length for c in cycles) == 5
@@ -126,10 +126,10 @@ def test_induced_cycles_need_budget_beyond_cap():
 
 
 def test_max_disjoint_cycles_chain():
-    from vtcycles.cyclegraph import enumerate_directed_cycles
+    from vtcycles.cyclegraph import complete_directed_cycles
 
     D = four_cycle_chain(3)
-    cycles, _ = enumerate_directed_cycles(D)
+    cycles = complete_directed_cycles(D)
     four = [c for c in cycles if c.length == 4]
     count, exact = max_disjoint_cycles(four)
     assert exact and count == 3
@@ -250,8 +250,7 @@ def test_longest_induced_cycle_reports_its_expansions():
 # --- the induced-cycle oracle ------------------------------------------------
 
 def _cycle_graph(D):
-    cycles, _ = enumerate_directed_cycles(D)
-    return build_cycle_graph(D, cycles).graph
+    return build_cycle_graph(D, complete_directed_cycles(D)).graph
 
 
 INDUCED_HOSTS = {

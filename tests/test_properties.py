@@ -15,18 +15,19 @@ from hypothesis import strategies as st
 
 from vtcycles.automorphisms import (automorphism_family_by_search,
                                     is_vertex_transitive)
-from vtcycles.digraph import (INF, UNKNOWN, Digraph, Graph, adjacency_masks,
-                              bitset_bfs, iter_bits)
+from vtcycles.digraph import (INF, UNKNOWN, Digraph, DirectedCycle, Graph,
+                              adjacency_masks, bitset_bfs, iter_bits)
 from vtcycles.gadgets import is_strongly_k_connected
 from vtcycles.longcycle import dfs_long_cycle, expansion_exact
 from vtcycles.oracles import (brute_longest_cycle,
                               brute_longest_induced_cycle, induced_cycles)
-from vtcycles.cyclegraph import (build_cycle_graph, enumerate_directed_cycles,
+from vtcycles.cyclegraph import (build_cycle_graph, complete_directed_cycles,
                                  stitch_directed_cycle)
 
 from _independent import (_naive_distances, dfs_all_cycles,
-                          naive_graph_distances, naive_graph_diameter,
-                          preserves_arc_set, subset_induced_cycles)
+                          dfs_cycles_in_order, naive_graph_distances,
+                          naive_graph_diameter, preserves_arc_set,
+                          subset_induced_cycles)
 
 
 @st.composite
@@ -65,8 +66,8 @@ def test_longest_cycle_matches_plain_dfs_circumference(D):
 @settings(max_examples=40, deadline=None)
 @given(strong_digraphs())
 def test_cycle_enumeration_matches_plain_dfs(D):
-    cycles, truncated = enumerate_directed_cycles(D)
-    assert not truncated
+    cycles = complete_directed_cycles(D)
+    assert cycles is not None
     assert {c.vertices for c in cycles} == dfs_all_cycles(D)
 
 
@@ -246,8 +247,8 @@ def test_family_by_search_matches_transitivity_verdict(D, budget):
 @settings(max_examples=60, deadline=None)
 @given(strong_digraphs(), st.integers(min_value=0, max_value=200))
 def test_cycle_graph_matches_pairwise_intersection(D, cap):
-    # a capped enumeration keeps the all-pairs rebuild small on dense hosts
-    cycles = enumerate_directed_cycles(D, max_count=cap)[0]
+    # a prefix of the listing keeps the all-pairs rebuild small on dense hosts
+    cycles = [DirectedCycle(c) for c in dfs_cycles_in_order(D)[:cap]]
     sets = [c.vertex_set() for c in cycles]
     rows = tuple(tuple(j for j, other in enumerate(sets) if j != i and mine & other)
                  for i, mine in enumerate(sets))
@@ -267,8 +268,8 @@ def test_stitching_survives_a_random_host_sweep():
             if u != v:
                 arcs.add((u, v))
         D = Digraph(n, arcs)
-        cycles, truncated = enumerate_directed_cycles(D, max_count=3000)
-        if truncated or len(cycles) > 400:
+        cycles = complete_directed_cycles(D, max_count=3000)
+        if cycles is None or len(cycles) > 400:
             continue
         cg = build_cycle_graph(D, cycles)
         found, exact = induced_cycles(cg.graph, min_len=4, budget=10 ** 6)
