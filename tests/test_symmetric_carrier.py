@@ -1,14 +1,16 @@
-"""``Graph`` as the symmetric ``Digraph`` and automorphism validation on
-it, each checked against a definition the package does not share."""
+"""``Graph`` as the symmetric ``Digraph``, automorphism validation on it,
+and the order of Johnson's cycle enumeration, each checked against a
+definition the package does not share."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vtcycles.cyclegraph import complete_directed_cycles
 from vtcycles.digraph import Digraph, Graph, adjacency_masks
 from vtcycles.groups import AutomorphismFamily
 
-from _independent import preserves_edge_set
+from _independent import dfs_cycles_in_order, preserves_edge_set
 
 
 def _edge_lists(data, max_n):
@@ -66,3 +68,25 @@ def test_validation_on_a_graph_matches_the_edge_set_test(data):
     else:
         with pytest.raises(ValueError, match="does not preserve arc"):
             fam.validate_digraph(G)
+
+
+@st.composite
+def digraphs(draw, max_n=8):
+    """Arbitrary digraph on at most max_n vertices, not necessarily
+    strongly connected."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+    return Digraph(n, arcs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(digraphs(), st.integers(min_value=0, max_value=40))
+def test_cycle_enumeration_order_matches_rooted_dfs(D, k):
+    listed = dfs_cycles_in_order(D)
+    assert [c.vertices for c in complete_directed_cycles(D)] == listed
+    capped = complete_directed_cycles(D, k)
+    if len(listed) > k:
+        assert capped is None
+    else:
+        assert [c.vertices for c in capped] == listed
