@@ -9,10 +9,16 @@ objects, distances use ``INF`` for unreachable pairs, and undecided search
 verdicts use the ``UNKNOWN`` singleton rather than ``None``.  Exhaustive
 searches count their nodes against a ``Budget``.
 
-Bitset traversal goes through two helpers: ``adjacency_masks`` turns
-adjacency rows into per-vertex bitmasks, and ``bitset_bfs`` runs one
-level-synchronous BFS over them, optionally inside an ``allowed`` vertex
-mask.  ``Digraph`` stays sparse (sorted tuples and a list BFS): hosts reach
+Bitset traversal goes through three helpers: ``adjacency_masks`` turns
+adjacency rows into per-vertex bitmasks, ``shift_classes`` groups the arcs
+v -> w by their offset (w - v) mod n, and ``bitset_bfs`` runs one
+level-synchronous BFS, optionally inside an ``allowed`` vertex mask.  A
+level's out-neighborhood is the OR of its vertices' masks; given the shift
+classes, a level with more vertices than there are classes instead takes,
+per class, its members that are sources of that offset and rotates them by
+it.  A Cayley host on cyclic or product ids has two or three classes, so
+its wide levels cost a few big-int operations each, not one per vertex.
+``Digraph`` stays sparse (sorted tuples and a list BFS): hosts reach
 thousands of vertices, where n masks of n bits each cost more than they
 save.  ``Graph`` is the opposite: its neighbor masks are its state, and
 its sorted adjacency tuples are derived only when something reads them.
@@ -123,27 +129,73 @@ def adjacency_masks(rows) -> list:
     return [sum(1 << w for w in row) for row in rows]
 
 
-def bitset_bfs(masks, start: int, allowed: int = -1):
+def shift_classes(rows) -> tuple:
+    """The arcs v -> w of the adjacency ``rows`` grouped by their offset
+    d = (w - v) mod n, as (d, source mask) pairs in ascending d: the source
+    mask holds every v whose arc of offset d is present.  A Cayley host on
+    cyclic or product ids has one class per generator, or two for a
+    generator whose step wraps around in the last coordinate."""
+    n = len(rows)
+    sources = {}
+    for v, row in enumerate(rows):
+        for w in row:
+            d = (w - v) % n
+            sources[d] = sources.get(d, 0) | 1 << v
+    return tuple(sorted(sources.items()))
+
+
+def bitset_bfs(masks, start: int, allowed: int = -1, classes=None,
+               limit: int = None, tally=None):
     """Level-synchronous BFS from ``start`` over the neighbor ``masks``,
     confined to the vertex mask ``allowed`` (which must contain ``start``):
-    each level is the OR of the frontier's masks minus the vertices already
-    reached.  Returns (reached mask, number of levels after ``start``, last
-    nonempty level mask)."""
+    each level is the out-neighborhood of the frontier minus the vertices
+    already reached.  Returns (reached mask, number of levels after
+    ``start``, last nonempty level mask).
+
+    The out-neighborhood is the OR of the frontier's masks, or, when the
+    ``shift_classes`` of the same rows are given and there are fewer of
+    them than frontier vertices, the OR over classes (d, M) of the frontier
+    within M rotated by d.  Both give the same level.  A ``limit`` stops the
+    search once ``reached`` holds that many vertices, so the reached count
+    is at least ``limit`` exactly when the full search's is.  A ``tally``
+    (a ``collections.Counter``) gains the run, its expanded levels and
+    those expanded by rotation under "runs", "levels" and "rotated"."""
+    n = len(masks)
+    rotate_above = n
+    if classes is not None:
+        rotate_above = len(classes)
+        allowed &= (1 << n) - 1   # rotated bits land above n before this
     reached = level = 1 << start
-    depth = 0
-    while True:
+    size = count = 1
+    depth = rotated = 0
+    while limit is None or count < limit:
         nxt = 0
-        rest = level
-        while rest:
-            low = rest & -rest
-            nxt |= masks[low.bit_length() - 1]
-            rest ^= low
+        if size > rotate_above:
+            rotated += 1
+            for d, sources in classes:
+                moved = level & sources
+                nxt |= moved << d | moved >> (n - d)
+        else:
+            rest = level
+            while rest:
+                low = rest & -rest
+                nxt |= masks[low.bit_length() - 1]
+                rest ^= low
         nxt &= allowed & ~reached
         if not nxt:
-            return reached, depth, level
+            break
         reached |= nxt
         level = nxt
         depth += 1
+        size = nxt.bit_count()
+        count += size
+    if tally is not None:
+        tally["runs"] += 1
+        # one expansion per level found, and one that found nothing
+        # unless the limit ended the search first
+        tally["levels"] += depth + (limit is None or count < limit)
+        tally["rotated"] += rotated
+    return reached, depth, level
 
 
 class Digraph:

@@ -10,16 +10,20 @@ fall to float rounding.
 
 from __future__ import annotations
 
+import logging
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from .digraph import (Digraph, DirectedCycle, DirectedPath, adjacency_masks,
                       bitset_bfs, directed_cycle, directed_path, iter_bits,
-                      shortest_route)
+                      shift_classes, shortest_route)
 
 EXPANSION_EXACT_MAX = 20
+
+log = logging.getLogger("vtc")
 
 
 @dataclass(frozen=True)
@@ -202,6 +206,10 @@ def dfs_long_cycle(D: Digraph, alpha: Fraction = None) -> CycleSearchResult:
     through the one closest to the path's start.  Both facts are asserted
     on every run.  When the caller knows the digraph is an alpha-expander,
     the returned cycle is guaranteed at least alpha*n/3 long.
+
+    Every BFS expands wide levels by the shift classes of D, and an
+    extension test stops its BFS once 2n/3 descendants are reached.
+    ``VTC_LOG=INFO`` logs the extensions and the BFS work.
     """
     n = D.n
     if n < 2:
@@ -209,22 +217,22 @@ def dfs_long_cycle(D: Digraph, alpha: Fraction = None) -> CycleSearchResult:
     if not D.is_strongly_connected():
         raise ValueError("digraph is not strongly connected")
     out_masks = adjacency_masks(D.out)
+    classes = shift_classes(D.out)
     full = (1 << n) - 1
+    enough = -(-2 * n // 3)   # ceil(2n/3): an extension test stops its BFS here
+    tally = Counter()
 
     path = [0]
     path_mask = 1
     trace = []
     while True:
         v = path[-1]
-        prefix_mask = path_mask & ~(1 << v)  # path minus current endpoint
+        residual = full & ~path_mask
         chosen = None
         for w in D.out[v]:
-            if (prefix_mask >> w) & 1 or w == v:
-                continue
-            residual = full & ~path_mask
             if not (residual >> w) & 1:
                 continue
-            desc = bitset_bfs(out_masks, w, residual)[0]
+            desc = bitset_bfs(out_masks, w, residual, classes, enough, tally)[0]
             if 3 * desc.bit_count() >= 2 * n:
                 chosen = w
                 break
@@ -235,11 +243,14 @@ def dfs_long_cycle(D: Digraph, alpha: Fraction = None) -> CycleSearchResult:
         path_mask |= 1 << chosen
 
     t_vertex = path[-1]
-    residual = full & ~path_mask
     candidates = [w for w in D.out[t_vertex] if (residual >> w) & 1]
     assert candidates, "stuck endpoint must have out-neighbors off the path"
 
-    desc_sets = {w: bitset_bfs(out_masks, w, residual)[0] for w in candidates}
+    desc_sets = {w: bitset_bfs(out_masks, w, residual, classes, tally=tally)[0]
+                 for w in candidates}
+    log.info("dfs_long_cycle: %d extensions, %d BFS runs, %d BFS levels, "
+             "%d shift classes, %d levels by rotation", len(trace),
+             tally["runs"], tally["levels"], len(classes), tally["rotated"])
     S = None
     for w in candidates:
         size = desc_sets[w].bit_count()
@@ -270,7 +281,7 @@ def dfs_long_cycle(D: Digraph, alpha: Fraction = None) -> CycleSearchResult:
 
     j = next(i for i, pv in enumerate(path) if (out_of_union >> pv) & 1)
     target = path[j]
-    landing = min(u for u in iter_bits(union) if D.has_arc(u, target))
+    landing = next(u for u in D.inn[target] if (union >> u) & 1)
     # multi-source shortest route from S to the landing vertex inside U
     inside_union = tuple(tuple(w for w in row if (union >> w) & 1)
                          for row in D.out)

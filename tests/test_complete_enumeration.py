@@ -96,12 +96,16 @@ def test_pipeline_logs_whether_its_enumeration_completed(caplog):
         _, report = pipeline_n13(directed_cycle_product(2, 8), max_cycles=1)
         assert report["partial"]
         assert caplog.messages == [
-            sweep, "pipeline_n13: more than 1 cycles; none built"]
+            sweep, "pipeline_n13: more than 1 cycles; none built",
+            "dfs_long_cycle: 5 extensions, 9 BFS runs, 65 BFS levels, "
+            "3 shift classes, 0 levels by rotation"]
         caplog.clear()
         pipeline_n13(cycle_digraph(25), max_cycles=None)
         assert caplog.messages == [
             sweep, "pipeline_n13: unbounded enumeration is capped at n=20; "
-            "pass max_count; none built"]
+            "pass max_count; none built",
+            "dfs_long_cycle: 8 extensions, 10 BFS runs, 160 BFS levels, "
+            "1 shift classes, 0 levels by rotation"]
 
 
 def test_cycle_graph_check_logs_whether_its_enumeration_completed(caplog):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import logging
 import tracemalloc
 from fractions import Fraction
 
@@ -7,8 +10,9 @@ from hypothesis import strategies as st
 
 from vtcycles.digraph import Digraph
 from vtcycles.gadgets import (complete_bidirected, cycle_digraph,
-                              directed_cycle_product, toroidal_gadget)
-from vtcycles.groups import cayley_digraph
+                              directed_cycle_product, product_cayley_spec,
+                              toroidal_cayley_spec, toroidal_gadget)
+from vtcycles.groups import CayleySpec, cayley_digraph, cyclic_group
 from vtcycles.longcycle import (ExpansionReport, dfs_long_cycle,
                                 expansion_check_transitive_bound,
                                 expansion_exact, expansion_sampled, long_path)
@@ -131,6 +135,36 @@ def test_dfs_long_cycle_runs_clean_on_corpus():
         D = cayley_digraph(spec)
         res = dfs_long_cycle(D, alpha=Fraction(1, 3 * D.directed_diameter()))
         assert res.meets_guarantee()
+
+
+@pytest.mark.parametrize("spec, length, steps, digest", [
+    (CayleySpec(cyclic_group(500), (1, 7)), 218, 166,
+     "cede30a59fc2c24d0503e8155c41df581e0c07f3240e2c98bd0e86d490f8d97a"),
+    (product_cayley_spec(12, 12), 60, 48,
+     "047593a2f7aee06b976aa32abf24d842f58c9300121c4f9a7aa24bdb0ec2b0eb"),
+    (toroidal_cayley_spec(10), 58, 28,
+     "d68953005501f692928b87fa55275b99fd0e9885550465dd5c6a5aaea7d2d259"),
+], ids=["Z500<1,7>", "C12xC12", "toroidal(10)"])
+def test_dfs_long_cycle_on_cayley_hosts_matches_recorded_digests(spec, length,
+                                                                 steps, digest):
+    """The cycle and every extension choice, pinned by the SHA-256 of
+    their JSON, so that no change to the BFS kernel can move them."""
+    res = dfs_long_cycle(cayley_digraph(spec))
+    text = json.dumps({"cycle": list(res.cycle.vertices), "trace": list(res.trace)},
+                      sort_keys=True)
+    assert (res.cycle.length, len(res.trace) - 1) == (length, steps)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_dfs_long_cycle_logs_its_bfs_work(caplog):
+    """C6 x C6 has three shift classes: offsets 1 and 6, and -5 where the
+    second coordinate wraps."""
+    with caplog.at_level(logging.INFO, logger="vtc"):
+        res = dfs_long_cycle(cayley_digraph(product_cayley_spec(6, 6)))
+    assert len(res.trace) - 1 == 12
+    assert caplog.messages == [
+        "dfs_long_cycle: 12 extensions, 16 BFS runs, 118 BFS levels, "
+        "3 shift classes, 42 levels by rotation"]
 
 
 def test_long_path_on_directed_cycle():

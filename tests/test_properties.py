@@ -6,6 +6,7 @@ oracles or meet the floors they claim.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 from vtcycles.automorphisms import (automorphism_family_by_search,
                                     is_vertex_transitive)
 from vtcycles.digraph import (INF, UNKNOWN, Digraph, DirectedCycle, Graph,
-                              adjacency_masks, bitset_bfs, iter_bits)
+                              adjacency_masks, bitset_bfs, iter_bits,
+                              shift_classes)
 from vtcycles.gadgets import is_strongly_k_connected
 from vtcycles.longcycle import dfs_long_cycle, expansion_exact
 from vtcycles.oracles import (brute_longest_cycle,
@@ -148,6 +150,57 @@ def test_bitset_bfs_matches_naive_bfs_inside_allowed(data):
     assert (last & -last).bit_length() - 1 == dist.index(depth)
     if allowed == (1 << n) - 1:  # the default confines nothing
         assert bitset_bfs(adjacency_masks(rows), start) == (reached, levels, last)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bitset_bfs_by_shift_classes_matches_the_masks_only_run(data):
+    """Arbitrary rows (self-loops included), or the arcs of a few offsets
+    less a few dropped ones, whose levels outgrow the classes and rotate."""
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(min_value=1, max_value=12))
+        rows = data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=n,
+                                           unique=True),
+                                  min_size=n, max_size=n))
+    else:
+        n = data.draw(st.integers(min_value=1, max_value=48))
+        offsets = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                     max_size=3, unique=True))
+        dropped = data.draw(st.sets(st.integers(0, 3 * n - 1), max_size=n // 4))
+        rows = [[(v + d) % n for i, d in enumerate(offsets)
+                 if v + i * n not in dropped] for v in range(n)]
+    classes = shift_classes(rows)
+    assert len(classes) <= n
+    assert ({(v, (v + d) % n) for d, sources in classes for v in iter_bits(sources)}
+            == {(v, w) for v, row in enumerate(rows) for w in row})
+    masks = adjacency_masks(rows)
+    start = data.draw(st.integers(0, n - 1))
+    allowed = data.draw(st.one_of(st.just(-1), st.integers(0, (1 << n) - 1))) | (1 << start)
+    full = bitset_bfs(masks, start, allowed)
+    tally = Counter()
+    assert bitset_bfs(masks, start, allowed, classes, tally=tally) == full
+    assert tally["runs"] == 1 and tally["levels"] == full[1] + 1
+    limit = data.draw(st.integers(0, n + 1))
+    for cls in (None, classes):
+        reached = bitset_bfs(masks, start, allowed, cls, limit)[0]
+        assert reached & ~full[0] == 0
+        assert (reached.bit_count() >= limit) == (full[0].bit_count() >= limit)
+
+
+def test_bitset_bfs_rotates_the_wide_levels_of_a_cayley_host():
+    """Z_40<1,7>: two classes, so every level of three or more vertices
+    rotates, and a limit of 27 stops the search before its last level."""
+    rows = [((v + 1) % 40, (v + 7) % 40) for v in range(40)]
+    classes = shift_classes(rows)
+    assert classes == ((1, (1 << 40) - 1), (7, (1 << 40) - 1))
+    masks = adjacency_masks(rows)
+    allowed = ~(1 << 5 | 1 << 12)
+    tally = Counter()
+    assert bitset_bfs(masks, 0, allowed, classes, tally=tally) == bitset_bfs(masks, 0, allowed)
+    assert tally["rotated"] > 0 and tally["rotated"] < tally["levels"]
+    tally.clear()
+    reached = bitset_bfs(masks, 0, -1, classes, 27, tally)[0]
+    assert reached.bit_count() >= 27 and tally["levels"] < bitset_bfs(masks, 0)[1]
 
 
 @st.composite
