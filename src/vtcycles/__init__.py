@@ -20,7 +20,8 @@ from .gadgets import (cycle_digraph, complete_bidirected,
 from .longcycle import (CycleSearchResult, ExpansionReport, dfs_long_cycle,
                         expansion_check_transitive_bound, expansion_exact,
                         expansion_sampled, long_path)
-from .oracles import (SearchResult, brute_hamiltonian, brute_longest_cycle,
+from .oracles import (SearchResult, alternating_hamiltonian,
+                      brute_hamiltonian, brute_longest_cycle,
                       brute_longest_path, brute_longest_induced_cycle,
                       longest_cycles_pairwise_intersect)
 from .cyclegraph import (CycleGraph, build_cycle_graph,

@@ -86,19 +86,25 @@ def _johnson(D: Digraph):
     path starts at its root, the circuit's minimum vertex, so it is already
     in canonical rotation.  A vertex whose subtree closed a circuit is
     unblocked on the way back, any other one waits on the B-lists of its
-    out-neighbors."""
+    out-neighbors.  ``adj``, ``blocked`` and the B-lists are indexed by
+    vertex; each root resets the entries of its own strong component, the
+    only ones its walk reads."""
+    n = D.n
     out_masks, in_masks = adjacency_masks(D.out), adjacency_masks(D.inn)
-    for root in range(D.n):
+    adj = [()] * n
+    blocked = [False] * n
+    blist = [set() for _ in range(n)]
+    for root in range(n):
         # root's strong component among root..n-1: what root reaches inside
         # the set reaching root (a path to a member only passes through it)
         back = bitset_bfs(in_masks, root, -1 << root)[0]
         scc = bitset_bfs(out_masks, root, back)[0]
-        adj = {v: tuple(w for w in D.out[v] if scc >> w & 1)
-               for v in iter_bits(scc)}
+        for v in iter_bits(scc):
+            adj[v] = tuple(w for w in D.out[v] if scc >> w & 1)
+            blocked[v] = False
+            blist[v].clear()
         if not adj[root]:
             continue
-        blocked = {v: False for v in adj}
-        blist = {v: set() for v in adj}
         path = [root]
         frames = [iter(adj[root])]
         blocked[root] = True
@@ -122,25 +128,20 @@ def _johnson(D: Digraph):
                 v = path.pop()
                 if closed > len(path):
                     closed = len(path)
-                    _unblock(v, blocked, blist)
+                    # unblock v and, transitively, every blocked vertex
+                    # on the B-lists met
+                    blocked[v] = False
+                    todo = [v]
+                    while todo:
+                        u = todo.pop()
+                        for w in blist[u]:
+                            if blocked[w]:
+                                blocked[w] = False
+                                todo.append(w)
+                        blist[u].clear()
                 else:
                     for w in adj[v]:
                         blist[w].add(v)
-
-
-def _unblock(v, blocked, blist) -> None:
-    """Unblock v and, transitively, every blocked vertex on its B-lists."""
-    blocked[v] = False
-    if not blist[v]:
-        return
-    todo = [v]
-    while todo:
-        u = todo.pop()
-        for w in blist[u]:
-            if blocked[w]:
-                blocked[w] = False
-                todo.append(w)
-        blist[u].clear()
 
 
 # --- the intersection graph -------------------------------------------------
@@ -196,18 +197,6 @@ def build_cycle_graph(D: Digraph, cycles) -> CycleGraph:
                 f"intersection adjacency mismatch at pair ({i},{j})"
 
     return CycleGraph(tuple(cycles), graph)
-
-
-def dump_cycle_graph(cg: CycleGraph) -> str:
-    """Header ``cycles k truncated 0``, one vertex-list line per cycle,
-    then adjacency as index pairs.  The flag field stays in the format and
-    always reads 0."""
-    lines = [f"cycles {cg.order} truncated 0"]
-    for c in cg.cycles:
-        lines.append(" ".join(str(v) for v in c.vertices))
-    for i, j in cg.graph.edges():
-        lines.append(f"{i} {j}")
-    return "\n".join(lines) + "\n"
 
 
 def cycle_graph_diameter_check(D: Digraph, max_count=None) -> dict:

@@ -13,7 +13,7 @@ from .digraph import Digraph, adjacency_masks, bitset_bfs, cartesian_product
 from .groups import (AutomorphismFamily, CayleySpec, cayley_digraph,
                      cyclic_group, direct_product, left_translations,
                      product_element)
-from .oracles import brute_hamiltonian, find_path_of_length
+from .oracles import alternating_hamiltonian, find_path_of_length
 
 
 class GadgetVerificationError(RuntimeError):
@@ -142,8 +142,9 @@ def toroidal_gadget(n: int, verify: bool = True) -> Digraph:
 
     Vertex-transitive by construction (it is a Cayley digraph; the left
     translations are re-validated on every call) and post-verified
-    non-Hamiltonian by the exact oracle for n <= 2, where the instance
-    is small enough for the bitmask DP.
+    non-Hamiltonian at every n by the alternating-cycle oracle: the
+    digraph is 2-in-2-out with two alternating cycles, so all four of its
+    cycle covers are walked.
     """
     spec = toroidal_cayley_spec(n)
     D = cayley_digraph(spec)
@@ -154,8 +155,9 @@ def toroidal_gadget(n: int, verify: bool = True) -> Digraph:
             left_translations(spec)
         except ValueError as err:
             raise GadgetVerificationError(f"translations: {err}") from err
-        if n <= 2 and brute_hamiltonian(D) is not None:
-            raise GadgetVerificationError("toroidal gadget has a Hamilton cycle")
+        if alternating_hamiltonian(D) is not None:
+            raise GadgetVerificationError(
+                "toroidal gadget is not certified non-Hamiltonian")
     return D
 
 

@@ -2,6 +2,15 @@
 induced cycle, disjoint cycle packing, and the longest-cycle intersection
 question.
 
+Hamiltonicity has two oracles.  ``brute_hamiltonian`` is the generic one (a
+bitmask DP to n = 24, budgeted backtracking to n = 40).
+``alternating_hamiltonian`` decides the 2-in-2-out digraphs at any order:
+their arcs split into a alternating cycles u0 -> v0 <- u1 -> v1 <- ..., one
+choice of out-arc forces the rest of its alternating cycle, so the digraph
+has exactly 2^a cycle covers and is Hamiltonian iff one of them is a single
+cycle (Rankin 1946; the argument behind Trotter and Erdos 1978).  It walks
+the 2^a covers, up to a = ``ALT_CYCLES_MAX``.
+
 These are the ground truth that every constructive algorithm in the package
 is validated against, so they favor correctness and determinism over speed:
 budgets are node-expansion counts (never wall clock), ties break toward the
@@ -24,6 +33,7 @@ from .digraph import (Budget, Digraph, DirectedCycle, Graph, UNKNOWN,
                       adjacency_masks, directed_cycle, directed_path, iter_bits)
 
 HAM_DP_MAX = 24           # bitmask DP cap
+ALT_CYCLES_MAX = 20       # alternating-cycle cap: 2^a cycle covers walked
 HAM_BACKTRACK_MAX = 40    # budgeted backtracking cap
 HAM_STATE_CAP = 1 << 24   # DP refuses to grow past this many states
 EXACT_DEFAULT_MAX = 20    # unbudgeted exhaustive search cap
@@ -151,6 +161,53 @@ def _hamiltonian_dp(D: Digraph):
     seq.reverse()
     assert seq[0] == 0
     return directed_cycle(D, seq)
+
+
+def alternating_hamiltonian(D: Digraph):
+    """A Hamilton cycle of a 2-in-2-out digraph, None if provably absent,
+    UNKNOWN if D is not 2-in-2-out or has more than ``ALT_CYCLES_MAX``
+    alternating cycles.
+
+    Arc (u, i) is u's i-th out-arc.  An alternating cycle is found from its
+    lowest tail u with i = 0: follow u -> v, take the other in-neighbor u'
+    of v and the other out-arc of u', until the walk is back at u.  The arcs
+    walked form side 0 of the cycle, the other out-arcs of its tails side
+    1, and a cover picks one side of every cycle.  Covers are taken in
+    ascending counter order, bit k choosing the side of the k-th cycle
+    found; the first whose successor walk from vertex 0 takes n steps is
+    returned.  O(2^a * n) time.
+    """
+    n = D.n
+    out, inn = D.out, D.inn
+    if n < 3 or any(len(out[v]) != 2 or len(inn[v]) != 2 for v in range(n)):
+        return UNKNOWN
+    cycle_of = [-1] * n   # the alternating cycle u is a tail of
+    side0 = [0] * n       # index of u's out-arc on side 0 of that cycle
+    a = 0
+    for start in range(n):
+        if cycle_of[start] >= 0:
+            continue
+        if a == ALT_CYCLES_MAX:
+            return UNKNOWN
+        u, i = start, 0
+        while cycle_of[u] < 0:
+            cycle_of[u], side0[u] = a, i
+            v = out[u][i]
+            x, y = inn[v]
+            u = y if x == u else x
+            i = 1 if out[u][0] == v else 0
+        a += 1
+    for cover in range(1 << a):
+        succ = [out[u][side0[u] ^ (cover >> cycle_of[u] & 1)]
+                for u in range(n)]
+        seq = [0]
+        v = succ[0]
+        while v:
+            seq.append(v)
+            v = succ[v]
+        if len(seq) == n:
+            return directed_cycle(D, seq)
+    return None
 
 
 # --- longest cycle / path -------------------------------------------------

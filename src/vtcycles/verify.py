@@ -19,7 +19,8 @@ from .gadgets import (directed_cycle_product, four_cycle_chain,
 from .groups import CayleySpec, cayley_digraph, cyclic_group, dihedral_group
 from .longcycle import dfs_long_cycle, expansion_exact, long_path
 from .numbergap import divisibility_gap_bound, trotter_erdos_necessary
-from .oracles import brute_hamiltonian, induced_cycles, max_disjoint_cycles
+from .oracles import (alternating_hamiltonian, induced_cycles,
+                      max_disjoint_cycles)
 from .cyclegraph import build_cycle_graph, complete_directed_cycles, stitch_directed_cycle
 
 
@@ -43,20 +44,23 @@ def product_pairs(max_order: int):
 
 
 def suite_trotter_erdos(max_order: int = 24) -> SuiteResult:
-    """No cycle product may be Hamiltonian while the gcd-split condition
-    fails: the condition is necessary.  An undecided oracle reads
-    ``unknown``, and such a row is ok only when the condition holds."""
+    """A cycle product is Hamiltonian exactly when the gcd-split condition
+    holds (Trotter and Erdos 1978): both directions are checked, by the
+    alternating-cycle oracle, whose Hamilton cycles are checked arc by arc.
+    The product has gcd(n1, n2) alternating cycles, so past
+    ``ALT_CYCLES_MAX`` the oracle is undecided; such a row reads
+    ``unknown`` and is not ok."""
     rows = []
     for n1, n2 in product_pairs(max_order):
         D = directed_cycle_product(n1, n2)
-        cycle = brute_hamiltonian(D)
+        cycle = alternating_hamiltonian(D)
         ham = "unknown" if cycle is UNKNOWN else cycle is not None
         condition, split = trotter_erdos_necessary(n1, n2)
         rows.append({
             "n1": n1, "n2": n2, "gcd": gcd(n1, n2),
             "hamiltonian": ham, "condition": condition,
             "split": f"{split[0]}+{split[1]}" if split else "",
-            "ok": condition or ham is False,
+            "ok": cycle is not UNKNOWN and ham == condition,
         })
     return _result("trotter-erdos", ("n1", "n2", "gcd", "hamiltonian",
                                      "condition", "split", "ok"), rows)
@@ -267,12 +271,13 @@ def suite_lemma27(hosts=None) -> SuiteResult:
 
 def suite_toroidal(max_n: int = 2) -> SuiteResult:
     """The wrap-around gadget has 8n+4 vertices, is certified vertex
-    transitive, and the exact oracle finds no Hamilton cycle."""
+    transitive, and the alternating-cycle oracle proves it has no Hamilton
+    cycle (it has two alternating cycles, so four covers, at every n)."""
     rows = []
     for n in range(1, max_n + 1):
         D = toroidal_gadget(n, verify=False)
         fam = toroidal_translations(n)
-        ham = brute_hamiltonian(D)
+        ham = alternating_hamiltonian(D)
         transitive = fam.is_transitive()
         rows.append({
             "n": n, "vertices": D.n,

@@ -164,12 +164,12 @@ def test_verify_exit_codes(capsys):
 
 def test_verify_trotter_erdos_does_not_count_unknown_as_hamiltonian(
         capsys, monkeypatch):
-    real = verify.brute_hamiltonian
+    real = verify.alternating_hamiltonian
 
     def undecided_on_c2xc3(D):
         return UNKNOWN if D == directed_cycle_product(2, 3) else real(D)
 
-    monkeypatch.setattr(verify, "brute_hamiltonian", undecided_on_c2xc3)
+    monkeypatch.setattr(verify, "alternating_hamiltonian", undecided_on_c2xc3)
     code, out = run(capsys, "verify", "trotter-erdos", "--max-order", "12")
     assert code == 1
     rows = {(r["n1"], r["n2"]): r for r in csv.DictReader(io.StringIO(out))}
@@ -177,6 +177,18 @@ def test_verify_trotter_erdos_does_not_count_unknown_as_hamiltonian(
                               "hamiltonian": "unknown", "condition": "0",
                               "split": "", "ok": "0"}
     assert [key for key, r in rows.items() if r["ok"] != "1"] == [("2", "3")]
+
+
+def test_verify_trotter_erdos_decides_both_directions_past_the_dp_cap(capsys):
+    # products up to 50 x 2 = 100 vertices; the bitmask DP stops at 24 and
+    # the backtracking at 40
+    code, out = run(capsys, "verify", "trotter-erdos", "--max-order", "100")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == len(verify.product_pairs(100))
+    assert all(r["hamiltonian"] == r["condition"] and r["ok"] == "1"
+               for r in rows)
+    assert {r["hamiltonian"] for r in rows} == {"0", "1"}
 
 
 def test_search_outputs(capsys):

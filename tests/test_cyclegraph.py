@@ -12,7 +12,7 @@ from vtcycles.oracles import brute_longest_cycle, induced_cycles
 from vtcycles.cyclegraph import (EnumerationIncomplete, StitchError,
                                  _longest_induced_path_with_geodesic_tail,
                                  build_cycle_graph, complete_directed_cycles,
-                                 cycle_graph_diameter_check, dump_cycle_graph,
+                                 cycle_graph_diameter_check,
                                  induced_cycle_via_symmetry,
                                  is_nearly_transitive, lift_automorphisms,
                                  pipeline_n13, stitch_directed_cycle)
@@ -28,6 +28,18 @@ def rotations(n):
 
 def undirected_cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def dump_cycle_graph(cg):
+    """Header ``cycles k truncated 0``, one vertex-list line per cycle,
+    then adjacency as index pairs.  The flag field stays in the format and
+    always reads 0."""
+    lines = [f"cycles {cg.order} truncated 0"]
+    for c in cg.cycles:
+        lines.append(" ".join(str(v) for v in c.vertices))
+    for i, j in cg.graph.edges():
+        lines.append(f"{i} {j}")
+    return "\n".join(lines) + "\n"
 
 
 def complete_cycle_graph(D):

@@ -4,8 +4,10 @@ from vtcycles.gadgets import (GadgetVerificationError, cycle_digraph,
                               directed_cycle_product, four_cycle_chain,
                               is_strongly_k_connected, toroidal_gadget,
                               toroidal_translations)
-from vtcycles.oracles import (brute_hamiltonian, brute_longest_cycle,
-                              brute_longest_path, max_disjoint_cycles)
+from vtcycles.oracles import (alternating_hamiltonian, brute_hamiltonian,
+                              brute_longest_cycle, brute_longest_path,
+                              max_disjoint_cycles)
+from vtcycles.verify import suite_toroidal
 from vtcycles.cyclegraph import complete_directed_cycles
 
 
@@ -75,6 +77,18 @@ def test_toroidal_sizes():
 def test_toroidal_not_hamiltonian_small():
     for n in (1, 2):
         assert brute_hamiltonian(toroidal_gadget(n, verify=False)) is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 50])
+def test_toroidal_not_hamiltonian_at_any_n(n):
+    D = toroidal_gadget(n)   # verify=True runs the alternating-cycle oracle
+    assert alternating_hamiltonian(D) is None
+
+
+def test_toroidal_suite_certifies_every_n():
+    result = suite_toroidal(10)
+    assert result.ok and len(result.rows) == 10
+    assert not any(row["hamiltonian"] for row in result.rows)
 
 
 def test_toroidal_transitive_certificate():

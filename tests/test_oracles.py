@@ -2,7 +2,7 @@ import functools
 import hashlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vtcycles.cyclegraph import build_cycle_graph, complete_directed_cycles
@@ -10,11 +10,13 @@ from vtcycles.digraph import Digraph, Graph, UNKNOWN
 from vtcycles.gadgets import (complete_bidirected, cycle_digraph,
                               directed_cycle_product, four_cycle_chain,
                               toroidal_gadget)
-from vtcycles.oracles import (brute_hamiltonian, brute_longest_cycle,
-                              brute_longest_induced_cycle, brute_longest_path,
-                              find_path_of_length, induced_cycles,
-                              longest_cycles_pairwise_intersect,
+from vtcycles.oracles import (ALT_CYCLES_MAX, _hamiltonian_dp,
+                              alternating_hamiltonian, brute_hamiltonian,
+                              brute_longest_cycle, brute_longest_induced_cycle,
+                              brute_longest_path, find_path_of_length,
+                              induced_cycles, longest_cycles_pairwise_intersect,
                               max_disjoint_cycles)
+from vtcycles.verify import product_pairs
 
 from _independent import permutation_hamiltonian, subset_induced_cycles
 
@@ -49,6 +51,65 @@ def test_hamiltonian_agrees_with_permutation_oracle(n, data):
     arcs = data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
     D = Digraph(n, arcs)
     assert (brute_hamiltonian(D) is not None) == permutation_hamiltonian(D)
+
+
+def _two_in_two_out(sigma, tau):
+    """Repair two permutations into fixed-point-free ones with
+    sigma(v) != tau(v) everywhere, by swapping entries; None when tau's
+    repair finds no swap.  Their arcs v -> sigma(v), v -> tau(v) make a
+    2-in-2-out digraph."""
+    n = len(sigma)
+    sigma, tau = list(sigma), list(tau)
+    for i in range(n):
+        if sigma[i] == i:   # the swap leaves neither entry fixed
+            j = (i + 1) % n
+            sigma[i], sigma[j] = sigma[j], sigma[i]
+    bad = lambda i, x: x in (i, sigma[i])
+    for i in range(n):
+        if bad(i, tau[i]):
+            j = next((j for j in range(n)
+                      if not bad(i, tau[j]) and not bad(j, tau[i])), None)
+            if j is None:
+                return None
+            tau[i], tau[j] = tau[j], tau[i]
+    return Digraph(n, [(v, w) for v in range(n) for w in (sigma[v], tau[v])])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=3, max_value=16).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+def test_alternating_hamiltonian_agrees_with_the_dp(perms):
+    D = _two_in_two_out(*perms)
+    assume(D is not None)
+    assert all(len(D.out[v]) == len(D.inn[v]) == 2 for v in range(D.n))
+    cycle = alternating_hamiltonian(D)
+    assert cycle is not UNKNOWN
+    assert (cycle is None) == (_hamiltonian_dp(D) is None)
+    # a returned cycle was built by directed_cycle, which checks every arc
+    assert cycle is None or cycle.length == D.n
+    if D.n <= 8:
+        assert (cycle is not None) == permutation_hamiltonian(D)
+
+
+def test_alternating_hamiltonian_on_the_products_table():
+    for n1, n2 in product_pairs(24):
+        D = directed_cycle_product(n1, n2)
+        cycle = alternating_hamiltonian(D)
+        assert (cycle is None) == (_hamiltonian_dp(D) is None), (n1, n2)
+        assert cycle is None or cycle.length == D.n
+
+
+def test_alternating_hamiltonian_undecided_off_its_class_or_past_its_cap():
+    # not 2-in-2-out: vertex 0 has in-degree 3 below
+    lopsided = Digraph(4, [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 3),
+                           (3, 0), (3, 1)])
+    for D in (cycle_digraph(5), complete_bidirected(5), lopsided,
+              Digraph(0, [])):
+        assert alternating_hamiltonian(D) is UNKNOWN
+    # C_k x C_k has gcd(k, k) = k alternating cycles
+    k = ALT_CYCLES_MAX
+    assert alternating_hamiltonian(directed_cycle_product(k + 1, k + 1)) is UNKNOWN
+    assert alternating_hamiltonian(directed_cycle_product(k, 2)).length == 2 * k
 
 
 def test_longest_cycle_c5():
