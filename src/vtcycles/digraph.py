@@ -262,18 +262,17 @@ class Digraph:
 
     def out_neighborhood(self, members) -> frozenset:
         """External out-neighborhood: heads of arcs leaving ``members``."""
-        U = self.check_vertex_set(members)
-        res = set()
-        for u in U:
-            res.update(self.out[u])
-        return frozenset(res - U)
+        return self._neighborhood(self.out, members)
 
     def in_neighborhood(self, members) -> frozenset:
         """External in-neighborhood: tails of arcs entering ``members``."""
+        return self._neighborhood(self.inn, members)
+
+    def _neighborhood(self, rows, members) -> frozenset:
         U = self.check_vertex_set(members)
         res = set()
         for u in U:
-            res.update(self.inn[u])
+            res.update(rows[u])
         return frozenset(res - U)
 
     def bfs_distances(self, source: int, reverse: bool = False) -> list:
@@ -394,16 +393,8 @@ class Graph(Digraph):
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.masks) // 2
 
-    def edges(self):
-        for u, m in enumerate(self.masks):
-            for v in iter_bits(m & (-1 << (u + 1))):
-                yield (u, v)
-
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count})"
-
-    def is_connected(self) -> bool:
-        return self.n <= 1 or bitset_bfs(self.masks, 0)[0] == (1 << self.n) - 1
 
     def _farthest_pair(self):
         """``Digraph._farthest_pair`` by one ``bitset_bfs`` per source.  The

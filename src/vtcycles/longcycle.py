@@ -208,7 +208,9 @@ def dfs_long_cycle(D: Digraph, alpha: Fraction = None) -> CycleSearchResult:
     the returned cycle is guaranteed at least alpha*n/3 long.
 
     Every BFS expands wide levels by the shift classes of D, and an
-    extension test stops its BFS once 2n/3 descendants are reached.
+    extension test stops its BFS once 2n/3 descendants are reached.  The
+    stop reuses the last round's sets: each of those tests failed, so its
+    BFS ran to completion, in the same residual digraph.
     ``VTC_LOG=INFO`` logs the extensions and the BFS work.
     """
     n = D.n
@@ -228,12 +230,13 @@ def dfs_long_cycle(D: Digraph, alpha: Fraction = None) -> CycleSearchResult:
     while True:
         v = path[-1]
         residual = full & ~path_mask
+        reach = {}   # tested out-neighbor -> its descendants in residual
         chosen = None
         for w in D.out[v]:
             if not (residual >> w) & 1:
                 continue
-            desc = bitset_bfs(out_masks, w, residual, classes, enough, tally)[0]
-            if 3 * desc.bit_count() >= 2 * n:
+            reach[w] = bitset_bfs(out_masks, w, residual, classes, enough, tally)[0]
+            if 3 * reach[w].bit_count() >= 2 * n:
                 chosen = w
                 break
         if chosen is None:
@@ -243,31 +246,18 @@ def dfs_long_cycle(D: Digraph, alpha: Fraction = None) -> CycleSearchResult:
         path_mask |= 1 << chosen
 
     t_vertex = path[-1]
-    candidates = [w for w in D.out[t_vertex] if (residual >> w) & 1]
-    assert candidates, "stuck endpoint must have out-neighbors off the path"
-
-    desc_sets = {w: bitset_bfs(out_masks, w, residual, classes, tally=tally)[0]
-                 for w in candidates}
+    assert reach, "stuck endpoint must have out-neighbors off the path"
     log.info("dfs_long_cycle: %d extensions, %d BFS runs, %d BFS levels, "
              "%d shift classes, %d levels by rotation", len(trace),
              tally["runs"], tally["levels"], len(classes), tally["rotated"])
-    S = None
-    for w in candidates:
-        size = desc_sets[w].bit_count()
-        if n <= 3 * size <= 2 * n:
-            S = [w]
+    S, union = [], 0
+    for w, desc in reach.items():
+        if 3 * desc.bit_count() >= n:
+            S, union = [w], desc
             break
-    if S is None:
-        S = []
-        union = 0
-        for w in candidates:
+        if 3 * union.bit_count() < n:
             S.append(w)
-            union |= desc_sets[w]
-            if 3 * union.bit_count() >= n:
-                break
-    union = 0
-    for w in S:
-        union |= desc_sets[w]
+            union |= desc
     u_size = union.bit_count()
     assert n <= 3 * u_size, "descendant union fell below n/3"
     assert 3 * u_size <= 2 * n, "descendant union exceeded 2n/3"

@@ -73,15 +73,9 @@ def write_csv(rows, columns) -> str:
 
 
 def _csv_cell(value):
-    if value is UNKNOWN:
-        return "unknown"
-    if isinstance(value, float):
-        return "infinity" if value == INF else repr(value)
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
     if isinstance(value, bool):
         return "1" if value else "0"
-    return value
+    return jsonable(value)
 
 
 def all_assertions_hold(report) -> bool:

@@ -40,6 +40,14 @@ def test_construct_toroidal(tmp_path, capsys):
     assert read_edge_list(out_file.read_text()).n == 12
 
 
+def test_construct_toroidal_reports_its_hamiltonicity_check(capsys):
+    # toroidal_gadget runs the alternating-cycle check at every n
+    code, out = run(capsys, "construct", "toroidal", "--n", "3")
+    assert code == 0
+    post = json.loads(out)["result"]["post_verification"]
+    assert post == {"regular": 2, "vertices": 28, "hamiltonian_checked": True}
+
+
 def test_construct_cayley_matches_product(tmp_path, capsys):
     f1 = tmp_path / "c.edges"
     f2 = tmp_path / "p.edges"
@@ -269,6 +277,13 @@ def test_verify_divisibility_names_its_order_cap(capsys):
     assert capped.err == "verify divisibility: --max-order 24 capped at 20\n"
     assert at_cap.err == ""
     assert main(["verify", "divisibility", "--max-order", "16"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_verify_at_its_defaults_writes_nothing_to_stderr(suite, capsys):
+    # each suite runs at its own default, so no option is capped
+    assert main(["verify", suite]) == 0
     assert capsys.readouterr().err == ""
 
 

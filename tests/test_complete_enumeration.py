@@ -2,7 +2,10 @@
 against the plain rooted DFS listing, the callers that need every cycle,
 and their ``VTC_LOG`` lines."""
 
+import hashlib
 import logging
+import random
+from itertools import islice
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from vtcycles.cyclegraph import (complete_directed_cycles,
                                  cycle_graph_diameter_check, pipeline_n13)
 from vtcycles.digraph import Digraph
 from vtcycles.gadgets import cycle_digraph, directed_cycle_product
+from vtcycles.verify import product_pairs, stitch_hosts
 
 from _independent import dfs_cycles_in_order
 
@@ -45,6 +49,30 @@ def test_complete_cycles_match_rooted_dfs_or_are_none(drawn, k):
         assert cycles is None
     else:
         assert [c.vertices for c in cycles] == listed
+
+
+def _random_digraph(rng):
+    """1 to 12 vertices, each arc present with one drawn chance below 1/2."""
+    n = rng.randint(1, 12)
+    p = rng.random() / 2
+    return Digraph(n, [(u, v) for u in range(n) for v in range(n)
+                       if u != v and rng.random() < p])
+
+
+def test_johnson_yields_match_recorded_digest():
+    """Every (closed, path) yield of the walk, up to 5000 per host, on 300
+    seeded random digraphs, the products of order at most 20 and the
+    stitch hosts, pinned by one SHA-256: which vertices a root resets
+    must not change what its walk yields."""
+    hosts = [_random_digraph(random.Random(seed)) for seed in range(300)]
+    hosts += [directed_cycle_product(a, b) for a, b in product_pairs(20)]
+    hosts += [D for _, D in stitch_hosts()]
+    digest = hashlib.sha256()
+    for D in hosts:
+        for closed, path in islice(cyclegraph._johnson(D), 5000):
+            digest.update(f"{closed} {path}\n".encode())
+    assert digest.hexdigest() == (
+        "adeff52b81c80ed92cafa3b9d498184456d2b6c7c938a6b9188a7a3e4c28937b")
 
 
 def test_complete_cycles_of_a_deep_cycle():
@@ -97,14 +125,14 @@ def test_pipeline_logs_whether_its_enumeration_completed(caplog):
         assert report["partial"]
         assert caplog.messages == [
             sweep, "pipeline_n13: more than 1 cycles; none built",
-            "dfs_long_cycle: 5 extensions, 9 BFS runs, 65 BFS levels, "
+            "dfs_long_cycle: 5 extensions, 7 BFS runs, 48 BFS levels, "
             "3 shift classes, 0 levels by rotation"]
         caplog.clear()
         pipeline_n13(cycle_digraph(25), max_cycles=None)
         assert caplog.messages == [
             sweep, "pipeline_n13: unbounded enumeration is capped at n=20; "
             "pass max_count; none built",
-            "dfs_long_cycle: 8 extensions, 10 BFS runs, 160 BFS levels, "
+            "dfs_long_cycle: 8 extensions, 9 BFS runs, 144 BFS levels, "
             "1 shift classes, 0 levels by rotation"]
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -156,6 +157,32 @@ def test_dfs_long_cycle_on_cayley_hosts_matches_recorded_digests(spec, length,
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _random_strong_digraph(rng):
+    """3 to 40 vertices: a Hamilton cycle through a shuffled vertex order
+    plus up to 3n random arcs."""
+    n = rng.randint(3, 40)
+    order = list(range(n))
+    rng.shuffle(order)
+    arcs = {(order[i - 1], order[i]) for i in range(n)}
+    for _ in range(rng.randint(0, 3 * n)):
+        arcs.add(tuple(rng.sample(range(n), 2)))
+    return Digraph(n, arcs)
+
+
+def test_dfs_long_cycle_on_random_strong_digraphs_matches_recorded_digest():
+    """The cycle and trace on 200 seeded random hosts, pinned by one
+    SHA-256, so that the stop step's descendant sets, taken from the last
+    round of extension tests, can never drift from a fresh BFS."""
+    digest = hashlib.sha256()
+    for seed in range(200):
+        res = dfs_long_cycle(_random_strong_digraph(random.Random(seed)))
+        digest.update(json.dumps({"cycle": list(res.cycle.vertices),
+                                  "trace": list(res.trace)},
+                                 sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "1f0dc6eb676c8c7c9cfcc9329145232161096b5c3eac12c10b547a0d2fe1f5c6")
+
+
 def test_dfs_long_cycle_logs_its_bfs_work(caplog):
     """C6 x C6 has three shift classes: offsets 1 and 6, and -5 where the
     second coordinate wraps."""
@@ -163,8 +190,8 @@ def test_dfs_long_cycle_logs_its_bfs_work(caplog):
         res = dfs_long_cycle(cayley_digraph(product_cayley_spec(6, 6)))
     assert len(res.trace) - 1 == 12
     assert caplog.messages == [
-        "dfs_long_cycle: 12 extensions, 16 BFS runs, 118 BFS levels, "
-        "3 shift classes, 42 levels by rotation"]
+        "dfs_long_cycle: 12 extensions, 14 BFS runs, 101 BFS levels, "
+        "3 shift classes, 40 levels by rotation"]
 
 
 def test_long_path_on_directed_cycle():

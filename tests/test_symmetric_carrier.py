@@ -35,15 +35,15 @@ def test_graph_agrees_with_the_digraph_of_both_orientations(data):
         assert G.bfs_distances(s) == D.bfs_distances(s)
         assert all(G.shortest_path(s, t) == D.shortest_path(s, t)
                    for t in range(n))
-    assert G.is_connected() == D.is_strongly_connected()
+    assert G.is_strongly_connected() == D.is_strongly_connected()
     assert G.diameter() == D.directed_diameter()
     assert G.diameter_path() == D.diameter_path()
     assert G == D and hash(G) == hash(D)
     # the same graph handed over as the neighbor masks of its rows
     H = Graph.from_masks(adjacency_masks(D.out))
     assert H.masks == G.masks and H.adj == G.adj
-    assert list(H.edges()) == list(G.edges()) and H.edge_count == G.edge_count
-    assert H.is_connected() == G.is_connected()
+    assert list(H.arcs()) == list(G.arcs()) and H.edge_count == G.edge_count
+    assert H.is_strongly_connected() == G.is_strongly_connected()
     assert (H.diameter(), H.diameter_path()) == (G.diameter(), G.diameter_path())
 
 
