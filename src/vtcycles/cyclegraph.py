@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .digraph import (Budget, Digraph, DirectedCycle, Graph, INF,
-                      adjacency_masks, bitset_bfs, canonical_rotation,
-                      directed_cycle, iter_bits)
+                      canonical_rotation, directed_cycle, iter_bits, reacher)
 from .groups import AutomorphismFamily
 from .longcycle import dfs_long_cycle
 from .oracles import EXACT_DEFAULT_MAX, brute_longest_induced_cycle
@@ -90,15 +89,15 @@ def _johnson(D: Digraph):
     unblocked on the way back, any other one waits on the B-lists of its
     out-neighbors.  ``adj``, ``blocked`` and the B-lists are indexed by
     vertex; each root resets those of the vertices >= root that reach it,
-    found by one reverse BFS: its walk, kept inside them, visits exactly
+    one backward reach set: its walk, kept inside them, visits exactly
     root's strong component."""
     n = D.n
-    in_masks = adjacency_masks(D.inn)
+    reach_back = reacher(D.inn)
     adj = [()] * n
     blocked = [False] * n
     blist = [set() for _ in range(n)]
     for root in range(n):
-        back = bitset_bfs(in_masks, root, -1 << root)[0]
+        back = reach_back(root, -1 << root)
         for v in iter_bits(back):
             adj[v] = tuple(w for w in D.out[v] if back >> w & 1)
             blocked[v] = False

@@ -9,15 +9,13 @@ objects, distances use ``INF`` for unreachable pairs, and undecided search
 verdicts use the ``UNKNOWN`` singleton rather than ``None``.  Exhaustive
 searches count their nodes against a ``Budget``.
 
-Bitset traversal goes through three helpers: ``adjacency_masks`` turns
+Bitset traversal goes through four helpers: ``adjacency_masks`` turns
 adjacency rows into per-vertex bitmasks, ``shift_classes`` groups the arcs
-v -> w by their offset (w - v) mod n, and ``bitset_bfs`` runs one
-level-synchronous BFS, optionally inside an ``allowed`` vertex mask.  A
-level's out-neighborhood is the OR of its vertices' masks; given the shift
-classes, a level with more vertices than there are classes instead takes,
-per class, its members that are sources of that offset and rotates them by
-it.  A Cayley host on cyclic or product ids has two or three classes, so
-its wide levels cost a few big-int operations each, not one per vertex.
+v -> w by their offset (w - v) mod n, ``bitset_bfs`` runs one
+level-synchronous BFS over masks, optionally inside an ``allowed`` vertex
+mask, and ``reacher`` serves the searches that need only reach sets: it
+fills by the shift classes when there are few of them for n, as on a
+Cayley host on cyclic or product ids, and runs ``bitset_bfs`` otherwise.
 ``Digraph`` stays sparse (sorted tuples and a list BFS): hosts reach
 thousands of vertices, where n masks of n bits each cost more than they
 save.  ``Graph`` is the opposite: its neighbor masks are its state, and
@@ -144,58 +142,73 @@ def shift_classes(rows) -> tuple:
     return tuple(sorted(sources.items()))
 
 
-def bitset_bfs(masks, start: int, allowed: int = -1, classes=None,
-               limit: int = None, tally=None):
+def bitset_bfs(masks, start: int, allowed: int = -1):
     """Level-synchronous BFS from ``start`` over the neighbor ``masks``,
     confined to the vertex mask ``allowed`` (which must contain ``start``):
-    each level is the out-neighborhood of the frontier minus the vertices
-    already reached.  Returns (reached mask, number of levels after
-    ``start``, last nonempty level mask).
-
-    The out-neighborhood is the OR of the frontier's masks, or, when the
-    ``shift_classes`` of the same rows are given and there are fewer of
-    them than frontier vertices, the OR over classes (d, M) of the frontier
-    within M rotated by d.  Both give the same level.  A ``limit`` stops the
-    search once ``reached`` holds that many vertices, so the reached count
-    is at least ``limit`` exactly when the full search's is.  A ``tally``
-    (a ``collections.Counter``) gains the run, its expanded levels and
-    those expanded by rotation under "runs", "levels" and "rotated"."""
-    n = len(masks)
-    rotate_above = n
-    if classes is not None:
-        rotate_above = len(classes)
-        allowed &= (1 << n) - 1   # rotated bits land above n before this
+    each level is the OR of the frontier's masks minus the vertices already
+    reached.  Returns (reached mask, number of levels after ``start``, last
+    nonempty level mask)."""
     reached = level = 1 << start
-    size = count = 1
-    depth = rotated = 0
-    while limit is None or count < limit:
-        nxt = 0
-        if size > rotate_above:
-            rotated += 1
-            for d, sources in classes:
-                moved = level & sources
-                nxt |= moved << d | moved >> (n - d)
-        else:
-            rest = level
-            while rest:
-                low = rest & -rest
-                nxt |= masks[low.bit_length() - 1]
-                rest ^= low
+    depth = 0
+    while True:
+        nxt, rest = 0, level
+        while rest:
+            low = rest & -rest
+            nxt |= masks[low.bit_length() - 1]
+            rest ^= low
         nxt &= allowed & ~reached
         if not nxt:
-            break
+            return reached, depth, level
         reached |= nxt
         level = nxt
         depth += 1
-        size = nxt.bit_count()
-        count += size
-    if tally is not None:
-        tally["runs"] += 1
-        # one expansion per level found, and one that found nothing
-        # unless the limit ended the search first
-        tally["levels"] += depth + (limit is None or count < limit)
-        tally["rotated"] += rotated
-    return reached, depth, level
+
+
+def _fill(classes, n: int, start: int, allowed: int) -> int:
+    """The vertices that ``start`` reaches inside ``allowed`` over the arcs
+    of the ``shift_classes`` ``classes`` of an n-vertex digraph.  Each class
+    (d, M) is closed by doubling (Kogge and Stone 1973): after k rounds,
+    ``reached`` holds what it reached before the class in fewer than 2^k
+    steps of d, and ``pro`` the heads whose last 2^k steps of d are all arcs
+    inside ``allowed``.  The rounds stop once one adds nothing or 2^k * d is
+    a multiple of n; the classes are swept until a sweep adds nothing."""
+    allowed &= (1 << n) - 1
+    reached, before = 1 << start, 0
+    while reached != before:
+        before = reached
+        for d, sources in classes:
+            pro = (sources << d | sources >> (n - d)) & allowed
+            s = d
+            while s and pro:
+                gen = reached | pro & (reached << s | reached >> (n - s))
+                if gen == reached:
+                    break
+                reached = gen
+                pro &= pro << s | pro >> (n - s)
+                s = 2 * s % n
+    return reached
+
+
+def reacher(rows):
+    """A function (start, allowed) -> the mask of vertices that ``start``
+    reaches inside the vertex mask ``allowed`` over the adjacency ``rows``.
+    When one sweep of ``_fill`` over the shift classes costs no more than
+    expanding every vertex once (classes * bit length of n <= n), it fills
+    by the classes and builds no per-vertex mask; otherwise it runs
+    ``bitset_bfs`` over the rows' masks.  Its ``route`` names the choice."""
+    n = len(rows)
+    classes = shift_classes(rows)
+    if len(classes) * n.bit_length() <= n:
+        def reach(start, allowed):
+            return _fill(classes, n, start, allowed)
+        reach.route = f"fill over {len(classes)} shift classes"
+    else:
+        masks = adjacency_masks(rows)
+
+        def reach(start, allowed):
+            return bitset_bfs(masks, start, allowed)[0]
+        reach.route = "bitset BFS"
+    return reach
 
 
 class Digraph:

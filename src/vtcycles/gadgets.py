@@ -9,7 +9,7 @@ raises, it is never silently ignored.
 
 from __future__ import annotations
 
-from .digraph import Digraph, adjacency_masks, bitset_bfs, cartesian_product
+from .digraph import Digraph, cartesian_product, reacher
 from .groups import (AutomorphismFamily, CayleySpec, cayley_digraph,
                      cyclic_group, direct_product, left_translations,
                      product_element)
@@ -111,14 +111,12 @@ def is_strongly_k_connected(D: Digraph, k: int) -> bool:
     if k >= 2:
         from itertools import combinations
 
-        out_masks, in_masks = adjacency_masks(D.out), adjacency_masks(D.inn)
+        forward, backward = reacher(D.out), reacher(D.inn)
         for removed in combinations(range(D.n), k - 1):
-            allowed = (1 << D.n) - 1
-            for v in removed:
-                allowed ^= 1 << v
+            allowed = (1 << D.n) - 1 - sum(1 << v for v in removed)
             start = (allowed & -allowed).bit_length() - 1
-            if (bitset_bfs(out_masks, start, allowed)[0] != allowed
-                    or bitset_bfs(in_masks, start, allowed)[0] != allowed):
+            if (forward(start, allowed) != allowed
+                    or backward(start, allowed) != allowed):
                 return False
     return True
 

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import logging
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from .digraph import (Digraph, DirectedCycle, DirectedPath, adjacency_masks,
-                      bitset_bfs, directed_cycle, directed_path, iter_bits,
-                      shift_classes, shortest_route)
+                      directed_cycle, directed_path, iter_bits, reacher,
+                      shortest_route)
 
 EXPANSION_EXACT_MAX = 20
 
@@ -207,35 +206,30 @@ def dfs_long_cycle(D: Digraph, alpha: Fraction = None) -> CycleSearchResult:
     on every run.  When the caller knows the digraph is an alpha-expander,
     the returned cycle is guaranteed at least alpha*n/3 long.
 
-    Every BFS expands wide levels by the shift classes of D, and an
-    extension test stops its BFS once 2n/3 descendants are reached.  The
-    stop reuses the last round's sets: each of those tests failed, so its
-    BFS ran to completion, in the same residual digraph.
-    ``VTC_LOG=INFO`` logs the extensions and the BFS work.
+    Descendant sets come from ``reacher``, and the stop reuses the last
+    round's sets, computed in the same residual digraph.  ``VTC_LOG=INFO``
+    logs the extensions, the reach sets computed and the route taken.
     """
     n = D.n
     if n < 2:
         raise ValueError("need at least 2 vertices")
     if not D.is_strongly_connected():
         raise ValueError("digraph is not strongly connected")
-    out_masks = adjacency_masks(D.out)
-    classes = shift_classes(D.out)
-    full = (1 << n) - 1
-    enough = -(-2 * n // 3)   # ceil(2n/3): an extension test stops its BFS here
-    tally = Counter()
+    reach_from = reacher(D.out)
+    runs = 0
 
     path = [0]
-    path_mask = 1
+    residual = (1 << n) - 2   # the vertices off the path
     trace = []
     while True:
         v = path[-1]
-        residual = full & ~path_mask
         reach = {}   # tested out-neighbor -> its descendants in residual
         chosen = None
         for w in D.out[v]:
             if not (residual >> w) & 1:
                 continue
-            reach[w] = bitset_bfs(out_masks, w, residual, classes, enough, tally)[0]
+            reach[w] = reach_from(w, residual)
+            runs += 1
             if 3 * reach[w].bit_count() >= 2 * n:
                 chosen = w
                 break
@@ -243,13 +237,11 @@ def dfs_long_cycle(D: Digraph, alpha: Fraction = None) -> CycleSearchResult:
             break
         trace.append({"step": len(path), "extend_to": chosen})
         path.append(chosen)
-        path_mask |= 1 << chosen
+        residual ^= 1 << chosen
 
-    t_vertex = path[-1]
     assert reach, "stuck endpoint must have out-neighbors off the path"
-    log.info("dfs_long_cycle: %d extensions, %d BFS runs, %d BFS levels, "
-             "%d shift classes, %d levels by rotation", len(trace),
-             tally["runs"], tally["levels"], len(classes), tally["rotated"])
+    log.info("dfs_long_cycle: %d extensions, %d reach sets by %s",
+             len(trace), runs, reach_from.route)
     S, union = [], 0
     for w, desc in reach.items():
         if 3 * desc.bit_count() >= n:
@@ -263,23 +255,20 @@ def dfs_long_cycle(D: Digraph, alpha: Fraction = None) -> CycleSearchResult:
     assert 3 * u_size <= 2 * n, "descendant union exceeded 2n/3"
 
     # all external out-neighbors of U are on the path
-    out_of_union = 0
-    for v in iter_bits(union):
-        out_of_union |= out_masks[v]
-    out_of_union &= ~union
-    assert out_of_union & ~path_mask == 0, "U has an out-neighbor off the path"
+    members = set(iter_bits(union))
+    out_of_union = {w for v in members for w in D.out[v]} - members
+    assert out_of_union <= set(path), "U has an out-neighbor off the path"
 
-    j = next(i for i, pv in enumerate(path) if (out_of_union >> pv) & 1)
+    j = next(i for i, pv in enumerate(path) if pv in out_of_union)
     target = path[j]
-    landing = next(u for u in D.inn[target] if (union >> u) & 1)
+    landing = next(u for u in D.inn[target] if u in members)
     # multi-source shortest route from S to the landing vertex inside U
-    inside_union = tuple(tuple(w for w in row if (union >> w) & 1)
-                         for row in D.out)
+    inside_union = tuple(tuple(w for w in row if w in members) for row in D.out)
     hop = shortest_route(inside_union, sorted(S), landing)
     assert hop is not None, "landing vertex unreachable from S inside U"
     cycle_vertices = path[j:] + hop
     trace.append({
-        "stop_vertex": t_vertex,
+        "stop_vertex": path[-1],
         "S": sorted(S),
         "union_size": u_size,
         "reentry": target,

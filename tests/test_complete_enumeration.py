@@ -125,15 +125,15 @@ def test_pipeline_logs_whether_its_enumeration_completed(caplog):
         assert report["partial"]
         assert caplog.messages == [
             sweep, "pipeline_n13: more than 1 cycles; none built",
-            "dfs_long_cycle: 5 extensions, 7 BFS runs, 48 BFS levels, "
-            "3 shift classes, 0 levels by rotation"]
+            "dfs_long_cycle: 5 extensions, 7 reach sets by fill over "
+            "3 shift classes"]
         caplog.clear()
         pipeline_n13(cycle_digraph(25), max_cycles=None)
         assert caplog.messages == [
             sweep, "pipeline_n13: unbounded enumeration is capped at n=20; "
             "pass max_count; none built",
-            "dfs_long_cycle: 8 extensions, 9 BFS runs, 144 BFS levels, "
-            "1 shift classes, 0 levels by rotation"]
+            "dfs_long_cycle: 8 extensions, 9 reach sets by fill over "
+            "1 shift classes"]
 
 
 def test_cycle_graph_check_logs_whether_its_enumeration_completed(caplog):

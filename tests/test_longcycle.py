@@ -185,13 +185,16 @@ def test_dfs_long_cycle_on_random_strong_digraphs_matches_recorded_digest():
 
 def test_dfs_long_cycle_logs_its_bfs_work(caplog):
     """C6 x C6 has three shift classes: offsets 1 and 6, and -5 where the
-    second coordinate wraps."""
+    second coordinate wraps.  The complete digraph on 4 vertices has three
+    classes of 4 vertices, too many to fill by."""
     with caplog.at_level(logging.INFO, logger="vtc"):
         res = dfs_long_cycle(cayley_digraph(product_cayley_spec(6, 6)))
+        dfs_long_cycle(complete_bidirected(4))
     assert len(res.trace) - 1 == 12
     assert caplog.messages == [
-        "dfs_long_cycle: 12 extensions, 14 BFS runs, 101 BFS levels, "
-        "3 shift classes, 40 levels by rotation"]
+        "dfs_long_cycle: 12 extensions, 14 reach sets by fill over "
+        "3 shift classes",
+        "dfs_long_cycle: 1 extensions, 3 reach sets by bitset BFS"]
 
 
 def test_long_path_on_directed_cycle():
