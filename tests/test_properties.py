@@ -161,7 +161,7 @@ class _CountedSweeps(tuple):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_reach_by_fill_and_by_reacher_matches_bitset_bfs(data):
+def test_bitset_bfs_by_shift_classes_matches_the_masks_only_run(data):
     """Arbitrary rows (self-loops included), or the arcs of a few offsets
     less a few dropped ones: few classes for many vertices, so ``reacher``
     fills.  One sweep closes a single class, and its check sweep adds
@@ -197,6 +197,25 @@ def test_reach_by_fill_and_by_reacher_matches_bitset_bfs(data):
         masks = [1 << (v + d) % n if sources >> v & 1 else 0 for v in range(n)]
         assert _fill(one, n, start, allowed) == bitset_bfs(masks, start, allowed)[0]
         assert one.sweeps <= 2
+
+
+def test_bitset_bfs_rotates_the_wide_levels_of_a_cayley_host():
+    """Z_40<1,7>: two classes, so ``reacher`` fills by them, and the
+    doubling rounds close in a few sweeps what the masks-only run reaches
+    level by level, with and without two vertices cut out."""
+    rows = [((v + 1) % 40, (v + 7) % 40) for v in range(40)]
+    classes = shift_classes(rows)
+    assert classes == ((1, (1 << 40) - 1), (7, (1 << 40) - 1))
+    assert reacher(rows).route == "fill over 2 shift classes"
+    masks = adjacency_masks(rows)
+    for allowed in (-1, ~(1 << 5 | 1 << 12)):
+        counted = _CountedSweeps(classes)
+        counted.sweeps = 0
+        reached, levels, _ = bitset_bfs(masks, 0, allowed)
+        assert _fill(counted, 40, 0, allowed) == reached
+        assert reacher(rows)(0, allowed) == reached
+        assert counted.sweeps < levels
+    assert bitset_bfs(masks, 0)[0] == (1 << 40) - 1
 
 
 @st.composite
