@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from vtcycles import numbergap
 from vtcycles.gadgets import directed_cycle_product
-from vtcycles.numbergap import (MotohashiPair, SplitCheck, is_prime,
-                                motohashi_pairs, perimeter_gap_table,
+from vtcycles.numbergap import (SEARCH_D_MAX, MotohashiPair, SplitCheck,
+                                is_prime, motohashi_pairs, perimeter_gap_table,
                                 primes_below, prime_partitionable_check,
                                 search_prime_partitionable,
                                 divisibility_gap_bound,
@@ -31,6 +31,40 @@ def test_is_prime_matches_trial_division():
         assert is_prime(n) == trial_division_prime(n)
     assert is_prime(2 ** 31 - 1)          # Mersenne prime
     assert not is_prime(2 ** 32 + 1)      # 641 * 6700417
+    assert is_prime(2 ** 61 - 1)          # Mersenne prime, tier of 9 bases
+
+
+# The first strong pseudoprime to the first k prime bases (OEIS A014233),
+# with its factors: each is the first composite that k bases pass.
+STRONG_PSEUDOPRIMES = {
+    1: (2047, (23, 89)),
+    2: (1373653, (829, 1657)),
+    3: (25326001, (2251, 11251)),
+    4: (3215031751, (151, 751, 28351)),
+    5: (2152302898747, (6763, 10627, 29947)),
+    6: (3474749660383, (1303, 16927, 157543)),
+    7: (341550071728321, (10670053, 32010157)),
+    9: (3825123056546413051, (149491, 747451, 34233211)),
+    12: (318665857834031151167461, (399165290221, 798330580441)),
+}
+
+
+def test_is_prime_rejects_each_tiers_first_strong_pseudoprime():
+    for k, (n, factors) in STRONG_PSEUDOPRIMES.items():
+        assert math.prod(factors) == n
+        assert not is_prime(n), (k, n)
+
+
+def test_is_prime_refuses_n_past_its_proven_bases():
+    # 1287836182261 * 2575672364521: a strong pseudoprime to bases 2..41
+    psi13 = 3317044064679887385961981
+    assert psi13 == 1287836182261 * 2575672364521
+    # two 12-digit primes: composite, decided by all 13 bases
+    assert not is_prime(999999999989 * 999999999959)
+    with pytest.raises(ValueError, match=str(psi13)):
+        is_prime(psi13)
+    with pytest.raises(ValueError, match=str(psi13)):
+        is_prime(2 ** 89 - 1)
 
 
 def test_gcd_worked_example():
@@ -153,6 +187,22 @@ def test_perimeter_gap_table():
     assert by_pair[(5, 11)]["d"] == 16
 
 
+def test_motohashi_pairs_match_an_independent_scan():
+    # q = 1 + kp for k = 1, 2, ..., each tested by trial division and
+    # kept when q^25 < p^41 holds exactly
+    expected = []
+    for p in range(2, 3001):
+        if not trial_division_prime(p):
+            continue
+        q = 1 + p
+        while q ** 25 < p ** 41:
+            if trial_division_prime(q):
+                expected.append(MotohashiPair(p, q, True))
+                break
+            q += p
+    assert motohashi_pairs(3000) == expected
+
+
 def test_motohashi_pair_dataclass():
     pair = MotohashiPair(5, 11, True)
     assert pair.bound_ok
@@ -217,6 +267,45 @@ def test_necessity_condition_matches_per_split_definition(n1, n2):
                 expected = (True, (d1, d - d1))
                 break
     assert trotter_erdos_necessary(n1, n2) == expected
+
+
+# Windows around the bounds where is_prime switches to more bases.
+_TIER_EDGES = [psi for psi, _ in numbergap._MR_TIERS if psi < 10 ** 8]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(
+    st.integers(0, 10 ** 8 - 1),
+    st.builds(lambda psi, off: psi + off, st.sampled_from(_TIER_EDGES),
+              st.integers(-2000, 2000))))
+def test_is_prime_fast_path_matches_trial_division(n):
+    assert is_prime(n) == trial_division_prime(n)
+
+
+def first_counter_without_coprime_split(d):
+    """The first counter over the primes below d (bit i set: the i-th
+    prime on side 1) whose family pair has no coprime split, scanned
+    split by split with a second gcd; None when no counter has one."""
+    ps = [p for p in range(2, d) if trial_division_prime(p)]
+    for counter in range(1 << len(ps)):
+        n1 = d * math.prod(p for i, p in enumerate(ps) if counter >> i & 1)
+        n2 = d * math.prod(p for i, p in enumerate(ps) if not counter >> i & 1)
+        if all(euclid_gcd(n1, d1) >= 2 or euclid_gcd(n2, d - d1) >= 2
+               for d1 in range(1, d)):
+            return counter, ps
+    return None, ps
+
+
+def test_search_walk_returns_the_first_counter_in_scan_order():
+    hits = {d: parts for d, parts, _ in search_prime_partitionable(SEARCH_D_MAX)}
+    for d in range(2, SEARCH_D_MAX + 1):
+        counter, ps = first_counter_without_coprime_split(d)
+        if counter is None:
+            assert d not in hits, d
+            continue
+        p1 = tuple(p for i, p in enumerate(ps) if counter >> i & 1)
+        p2 = tuple(p for i, p in enumerate(ps) if not counter >> i & 1)
+        assert hits[d] == (p1, p2), d
 
 
 def test_certificate_splits_are_built_when_read():
