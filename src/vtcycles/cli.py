@@ -10,6 +10,7 @@ flagged UNKNOWN result instead of failing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -27,7 +28,7 @@ from .cyclegraph import (DEFAULT_MAX_COUNT, cycle_graph_diameter_check,
 from .oracles import EXACT_DEFAULT_MAX
 from .numbergap import (motohashi_pairs, perimeter_gap_table,
                         search_prime_partitionable)
-from .reports import all_assertions_hold, dumps, make_report, write_csv
+from .reports import all_assertions_hold, dump, make_report, write_csv
 from . import verify as V
 
 log = logging.getLogger("vtc")
@@ -36,20 +37,15 @@ ANALYZE_OPS = ("diameter", "expansion", "dfs-cycle", "long-path",
                "cycle-graph", "pipeline-n13")
 
 
-def _add_common(parser):
+def _add_report_flags(parser):
+    """--out, --format and --threads: the flags of verify and search."""
     parser.add_argument("--out", help="write the report here instead of stdout")
-    parser.add_argument("--format", dest="fmt", default=None,
+    parser.add_argument("--format", dest="fmt", default="csv",
                         choices=["json", "csv"])
-    parser.add_argument("--budget-nodes", type=int, default=2_000_000,
-                        help="node-expansion budget for exhaustive searches")
-    parser.add_argument("--max-cycles", type=int, default=DEFAULT_MAX_COUNT,
-                        help="cycle enumeration cap")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for interface compatibility; the "
                              "current implementation is sequential, so the "
                              "output never depends on it")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled modes")
 
 
 def build_parser():
@@ -66,86 +62,95 @@ def build_parser():
     c.add_argument("--n2", type=int, help="product: second cycle order")
     c.add_argument("--k", type=int, help="figure1: number of blocks")
     c.add_argument("--n", type=int, help="toroidal: size parameter (8n+4 vertices)")
+    c.add_argument("--out", help="write the edge list here")
     c.add_argument("--dot", help="also write a DOT rendering here")
-    _add_common(c)
+    c.set_defaults(run=cmd_construct)
 
     a = sub.add_parser("analyze", help="run analyses on an edge-list file")
     a.add_argument("file")
     a.add_argument("--which", default="diameter",
                    help="comma list from: " + ",".join(ANALYZE_OPS))
-    _add_common(a)
+    a.add_argument("--out", help="write the report here instead of stdout")
+    a.add_argument("--budget-nodes", type=int, default=2_000_000,
+                   help="node-expansion budget of the automorphism search")
+    a.add_argument("--max-cycles", type=int, default=DEFAULT_MAX_COUNT,
+                   help="cycle enumeration cap")
+    a.add_argument("--seed", type=int, default=0,
+                   help="seed of the sampled expansion bound")
+    a.set_defaults(run=cmd_analyze)
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=list(V.SUITES))
     v.add_argument("--max-order", type=int)
     v.add_argument("--max-k", type=int)
     v.add_argument("--max-n", type=int)
-    _add_common(v)
+    _add_report_flags(v)
+    v.set_defaults(run=cmd_verify)
 
     s = sub.add_parser("search", help="arithmetic searches")
     s.add_argument("kind", choices=["prime-partitionable", "motohashi", "theorem11"])
     s.add_argument("--max-d", type=int, default=20)
     s.add_argument("--max-p", type=int, default=100)
-    _add_common(s)
+    _add_report_flags(s)
+    s.set_defaults(run=cmd_search)
 
     return parser
 
 
-def _emit(text: str, args) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(args, payload, table=None) -> None:
+    """Write payload as JSON, or table = (rows, columns) as CSV under
+    --format csv, to the --out file or to stdout."""
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if table and args.fmt == "csv":
+            fh.write(write_csv(*table))
+        else:
+            dump(payload, fh)
 
 
 # --- construct ---------------------------------------------------------------
 
 def cmd_construct(args) -> int:
-    try:
-        if args.kind == "cayley":
-            if not args.group or not args.gens:
-                raise ValueError("cayley needs --group and --gens")
-            spec = parse_cayley_spec(f"{args.group}\n{args.gens}")
-            D = cayley_digraph(spec)
-            left_translations(spec)  # raises unless transitive
-            post = {"regular": D.regularity(), "generators": len(spec.generators),
-                    "transitive_certificate": True}
-            name = f"cayley({args.group};{args.gens})"
-        elif args.kind == "product":
-            if not args.n1 or not args.n2:
-                raise ValueError("product needs --n1 and --n2")
-            D = directed_cycle_product(args.n1, args.n2)
-            post = {"regular": D.regularity(), "vertices": D.n}
-            name = f"product({args.n1},{args.n2})"
-        elif args.kind == "figure1":
-            if not args.k:
-                raise ValueError("figure1 needs --k")
-            D = four_cycle_chain(args.k)
-            post = {"regular": D.regularity(), "vertices": D.n,
-                    "longest_cycle": 4}
-            name = f"figure1({args.k})"
-        else:
-            if not args.n:
-                raise ValueError("toroidal needs --n")
-            D = toroidal_gadget(args.n)
-            post = {"regular": D.regularity(), "vertices": D.n,
-                    "hamiltonian_checked": True}
-            name = f"toroidal({args.n})"
-    except (ValueError, GadgetVerificationError) as err:
-        sys.stdout.write(dumps({"schema": 1, "error": str(err)}))
-        return 2
+    if args.kind == "cayley":
+        if not args.group or not args.gens:
+            raise ValueError("cayley needs --group and --gens")
+        spec = parse_cayley_spec(f"{args.group}\n{args.gens}")
+        D = cayley_digraph(spec)
+        left_translations(spec)  # raises unless transitive
+        post = {"regular": D.regularity(), "generators": len(spec.generators),
+                "transitive_certificate": True}
+        name = f"cayley({args.group};{args.gens})"
+    elif args.kind == "product":
+        if not args.n1 or not args.n2:
+            raise ValueError("product needs --n1 and --n2")
+        D = directed_cycle_product(args.n1, args.n2)
+        post = {"regular": D.regularity(), "vertices": D.n}
+        name = f"product({args.n1},{args.n2})"
+    elif args.kind == "figure1":
+        if not args.k:
+            raise ValueError("figure1 needs --k")
+        D = four_cycle_chain(args.k)
+        post = {"regular": D.regularity(), "vertices": D.n,
+                "longest_cycle": 4}
+        name = f"figure1({args.k})"
+    else:
+        if not args.n:
+            raise ValueError("toroidal needs --n")
+        D = toroidal_gadget(args.n)
+        post = {"regular": D.regularity(), "vertices": D.n,
+                "hamiltonian_checked": True}
+        name = f"toroidal({args.n})"
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(write_edge_list(D))
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(D, collapse_digons=True))
+            fh.write(to_dot(D))
     report = make_report(name, "construct", {"kind": args.kind},
                          {"vertices": D.n, "arcs": D.arc_count,
                           "post_verification": post})
-    sys.stdout.write(dumps(report))
+    dump(report, sys.stdout)
     return 0
 
 
@@ -208,7 +213,7 @@ def cmd_analyze(args) -> int:
     ops = [w.strip() for w in args.which.split(",") if w.strip()]
     for op in ops:
         if op not in ANALYZE_OPS:
-            sys.stdout.write(dumps({"schema": 1, "error": f"unknown op {op!r}"}))
+            dump({"schema": 1, "error": f"unknown op {op!r}"}, sys.stdout)
             return 2
     reports = []
     for op in ops:
@@ -216,12 +221,12 @@ def cmd_analyze(args) -> int:
         try:
             reports.append(_analyze_one(args.file, D, op, args))
         except (ValueError, AssertionError) as err:
-            sys.stdout.write(dumps({"schema": 1, "operation": op,
-                                    "error": str(err)}))
+            dump({"schema": 1, "operation": op, "error": str(err)},
+                 sys.stdout)
             return 2
         finally:
             log.info("analyze %s: end", op)
-    _emit(dumps({"schema": 1, "reports": reports}), args)
+    _emit(args, {"schema": 1, "reports": reports})
     return 0 if all(all_assertions_hold(r) for r in reports) else 1
 
 
@@ -246,11 +251,8 @@ def cmd_verify(args) -> int:
     result = suite() if value is None else suite(value)
     log.info("verify %s: end, %d rows", args.suite, len(result.rows))
 
-    if args.fmt == "json":
-        _emit(dumps({"schema": 1, "suite": result.name, "ok": result.ok,
-                     "rows": list(result.rows)}), args)
-    else:
-        _emit(write_csv(result.rows, result.columns), args)
+    _emit(args, {"schema": 1, "suite": result.name, "ok": result.ok,
+                 "rows": list(result.rows)}, (result.rows, result.columns))
     if not result.ok:
         failing = [r for r in result.rows if not r.get("ok")]
         sys.stderr.write(f"suite {result.name}: {len(failing)} failing case(s)\n")
@@ -266,17 +268,14 @@ def cmd_search(args) -> int:
         hits = search_prime_partitionable(args.max_d)
         payload = [{"d": d, "partition": parts, "certificate": cert}
                    for d, parts, cert in hits]
-        _emit(dumps({"schema": 1, "search": args.kind,
-                     "max_d": args.max_d, "hits": payload}), args)
+        _emit(args, {"schema": 1, "search": args.kind, "max_d": args.max_d,
+                     "hits": payload})
         return 0
     if args.kind == "motohashi":
         pairs = motohashi_pairs(args.max_p)
-        if args.fmt == "csv":
-            rows = [{"p": m.p, "q": m.q, "bound_ok": m.bound_ok} for m in pairs]
-            _emit(write_csv(rows, ("p", "q", "bound_ok")), args)
-        else:
-            _emit(dumps({"schema": 1, "search": args.kind,
-                         "max_p": args.max_p, "pairs": pairs}), args)
+        rows = ({"p": m.p, "q": m.q, "bound_ok": m.bound_ok} for m in pairs)
+        _emit(args, {"schema": 1, "search": args.kind, "max_p": args.max_p,
+                     "pairs": pairs}, (rows, ("p", "q", "bound_ok")))
         return 0
     rows = perimeter_gap_table(args.max_p)
     # From p = 457 on, n has more digits than the interpreter converts to
@@ -285,37 +284,27 @@ def cmd_search(args) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        if args.fmt == "json":
-            text = dumps({"schema": 1, "search": args.kind, "rows": rows})
-        else:
-            text = write_csv(rows, ("p", "q", "d", "n1", "n2", "n", "ln_n", "ratio"))
+        _emit(args, {"schema": 1, "search": args.kind, "rows": rows},
+              (rows, ("p", "q", "d", "n1", "n2", "n", "ln_n", "ratio")))
     finally:
         sys.set_int_max_str_digits(limit)
-    _emit(text, args)
     return 0
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("VTC_LOG", "WARNING"))
     args = build_parser().parse_args(argv)
-    if args.budget_nodes <= 0 or args.max_cycles <= 0 or args.threads < 1:
-        sys.stdout.write(dumps({"schema": 1,
-                                "error": "budgets and threads must be positive"}))
+    # only the counts this subcommand has
+    if any(getattr(args, flag, 1) < 1
+           for flag in ("budget_nodes", "max_cycles", "threads")):
+        dump({"schema": 1, "error": "budgets and threads must be positive"},
+             sys.stdout)
         return 2
-    default_fmt = {"search": "csv", "verify": "csv"}.get(args.command, "json")
-    args.fmt = args.fmt or default_fmt
     log.info("%s: start", args.command)
     try:
-        if args.command == "construct":
-            code = cmd_construct(args)
-        elif args.command == "analyze":
-            code = cmd_analyze(args)
-        elif args.command == "verify":
-            code = cmd_verify(args)
-        else:
-            code = cmd_search(args)
-    except (ValueError, OSError) as err:
-        sys.stdout.write(dumps({"schema": 1, "error": str(err)}))
+        code = args.run(args)
+    except (ValueError, OSError, GadgetVerificationError) as err:
+        dump({"schema": 1, "error": str(err)}, sys.stdout)
         code = 2
     log.info("%s: end, exit %d", args.command, code)
     return code

@@ -407,10 +407,10 @@ class _StepFailure(Exception):
 DIAMETER_FLOOR = 20
 INDUCED_SLACK = 17
 FALLBACK_BUDGET = 2_000_000     # node budget of the exact induced-cycle oracle
+PATH_BUDGET = 200_000           # node budget of the geodesic-tail path search
 
 
-def induced_cycle_via_symmetry(G: Graph, fam: AutomorphismFamily,
-                               path_budget: int = 200_000):
+def induced_cycle_via_symmetry(G: Graph, fam: AutomorphismFamily):
     """An induced cycle of length at least diameter - 17 in a connected,
     nearly transitive graph of diameter at least 20.
 
@@ -433,7 +433,7 @@ def induced_cycle_via_symmetry(G: Graph, fam: AutomorphismFamily,
 
     report = {"diameter": d, "target": d - INDUCED_SLACK, "mode": "construction"}
     try:
-        cycle, deco = _symmetry_construction(G, fam, tuple(S), path_budget)
+        cycle, deco = _symmetry_construction(G, fam, tuple(S))
         report["steps_ok"] = True
         report["decomposition"] = deco
     except _StepFailure as fail:
@@ -459,8 +459,7 @@ def _assert_induced_cycle(G: Graph, cycle) -> None:
                          f"{cycle[bad[0]]} and {cycle[bad[1]]}")
 
 
-def _symmetry_construction(G: Graph, fam: AutomorphismFamily, S: tuple,
-                           path_budget: int):
+def _symmetry_construction(G: Graph, fam: AutomorphismFamily, S: tuple):
     """S is the geodesic between the lexicographically first diametral pair."""
     dist_memo: dict = {}
 
@@ -480,7 +479,7 @@ def _symmetry_construction(G: Graph, fam: AutomorphismFamily, S: tuple,
     deco = GeodesicDecomposition(S=S, v=v0, u=u0, m=m, L=L, R=R)
 
     P = _longest_induced_path_with_geodesic_tail(G, q, seed=S,
-                                                 budget=path_budget)
+                                                 budget=PATH_BUDGET)
     for _round in range(G.n):
         deco.P = tuple(P)
         deco.Q = tuple(P[-q:])

@@ -538,21 +538,18 @@ def read_edge_list(text: str) -> Digraph:
     return Digraph(n, arcs)
 
 
-def to_dot(D: Digraph, collapse_digons: bool = False) -> str:
-    """DOT export; digons can be collapsed to a single dir=both edge."""
+def to_dot(D: Digraph) -> str:
+    """DOT export; each digon is collapsed to a single dir=both edge."""
     lines = ["digraph D {"]
-    if collapse_digons:
-        done = set()
-        for u, v in D.arcs():
-            if (u, v) in done:
-                continue
-            if D.has_arc(v, u):
-                done.add((v, u))
-                lines.append(f"  {min(u, v)} -> {max(u, v)} [dir=both];")
-            else:
-                lines.append(f"  {u} -> {v};")
-            done.add((u, v))
-    else:
-        lines.extend(f"  {u} -> {v};" for u, v in D.arcs())
+    done = set()
+    for u, v in D.arcs():
+        if (u, v) in done:
+            continue
+        if D.has_arc(v, u):
+            done.add((v, u))
+            lines.append(f"  {min(u, v)} -> {max(u, v)} [dir=both];")
+        else:
+            lines.append(f"  {u} -> {v};")
+        done.add((u, v))
     lines.append("}")
     return "\n".join(lines) + "\n"

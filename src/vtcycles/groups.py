@@ -95,7 +95,7 @@ class FormulaGroup(Group):
         return tuple(map(self.inv, range(self.order)))
 
 
-def group_from_table(raw, name: str = "group") -> GroupTable:
+def group_from_table(raw) -> GroupTable:
     """Validate a raw multiplication table and wrap it as a GroupTable.
 
     Closure, identity and inverse laws are checked exactly.  Associativity
@@ -141,7 +141,7 @@ def group_from_table(raw, name: str = "group") -> GroupTable:
         if mult[mult[a][b]][c] != mult[a][mult[b][c]]:
             raise GroupAxiomError(f"associativity fails at witness ({a},{b},{c})")
 
-    return GroupTable(n, mult, identity, tuple(inverse), name)
+    return GroupTable(n, mult, identity, tuple(inverse))
 
 
 def cyclic_group(n: int) -> FormulaGroup:

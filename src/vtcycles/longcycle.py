@@ -21,6 +21,7 @@ from .digraph import (Digraph, DirectedCycle, DirectedPath, adjacency_masks,
                       shortest_route)
 
 EXPANSION_EXACT_MAX = 20
+EXPANSION_SAMPLES = 10_000     # random subsets drawn by expansion_sampled
 
 log = logging.getLogger("vtc")
 
@@ -148,7 +149,7 @@ def _at_most(slices: list, c: int) -> int:
     return ~above
 
 
-def expansion_sampled(D: Digraph, samples: int = 10_000, seed: int = 0) -> ExpansionReport:
+def expansion_sampled(D: Digraph, seed: int = 0) -> ExpansionReport:
     """Random-subset upper bound on alpha; a refutation certificate only."""
     n = D.n
     if n < 2:
@@ -157,7 +158,7 @@ def expansion_sampled(D: Digraph, samples: int = 10_000, seed: int = 0) -> Expan
     size_limit = (2 * n) // 3
     best = None
     best_set = None
-    for _ in range(samples):
+    for _ in range(EXPANSION_SAMPLES):
         k = rng.randint(1, size_limit)
         U = frozenset(rng.sample(range(n), k))
         boundary = min(len(D.out_neighborhood(U)), len(D.in_neighborhood(U)))

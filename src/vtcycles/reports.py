@@ -59,8 +59,17 @@ def make_report(instance: str, operation: str, parameters: dict, result,
     }
 
 
+def dump(report, fh) -> None:
+    """Write the report to fh as it is encoded, so no copy of the whole
+    text is held."""
+    json.dump(jsonable(report), fh, sort_keys=True, indent=2)
+    fh.write("\n")
+
+
 def dumps(report) -> str:
-    return json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
+    buf = io.StringIO()
+    dump(report, buf)
+    return buf.getvalue()
 
 
 def write_csv(rows, columns) -> str:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -129,10 +130,75 @@ def test_construct_cayley_product_pairs_still_parse(capsys):
     ["search", "motohashi"],
 ])
 def test_format_dot_is_rejected_by_the_parser(capsys, argv):
+    # construct and analyze always print JSON, so they have no --format
     with pytest.raises(SystemExit) as exit_:
         main(argv + ["--format", "dot"])
     assert exit_.value.code == 2
-    assert "invalid choice: 'dot'" in capsys.readouterr().err
+    expected = ("invalid choice: 'dot'" if argv[0] in ("verify", "search")
+                else "unrecognized arguments: --format dot")
+    assert expected in capsys.readouterr().err
+
+
+# Each subcommand's flags, as (flag, value); every other subcommand's flag
+# is unknown to it.
+SUBCOMMAND_FLAGS = {
+    ("construct", "product"): [("--group", "cyclic 4"), ("--gens", "1"),
+                               ("--n1", "2"), ("--n2", "3"), ("--k", "2"),
+                               ("--n", "1"), ("--out", "x"), ("--dot", "x")],
+    ("analyze", "g.edges"): [("--which", "diameter"), ("--out", "x"),
+                             ("--budget-nodes", "5"), ("--max-cycles", "5"),
+                             ("--seed", "5")],
+    ("verify", "figure1"): [("--max-order", "5"), ("--max-k", "5"),
+                            ("--max-n", "5"), ("--out", "x"),
+                            ("--format", "json"), ("--threads", "2")],
+    ("search", "motohashi"): [("--max-d", "5"), ("--max-p", "5"),
+                              ("--out", "x"), ("--format", "json"),
+                              ("--threads", "2")],
+}
+REMOVED_FLAGS = [
+    (command, flag, value)
+    for command, kept in SUBCOMMAND_FLAGS.items()
+    for flag, value in (("--format", "json"), ("--budget-nodes", "5"),
+                        ("--max-cycles", "5"), ("--threads", "2"),
+                        ("--seed", "5"))
+    if flag not in dict(kept)]
+
+
+@pytest.mark.parametrize("command, flag, value", REMOVED_FLAGS)
+def test_removed_flag_exits_2(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exit_:
+        build_parser().parse_args([*command, flag, value])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value) for command, kept in SUBCOMMAND_FLAGS.items()
+    for flag, value in kept])
+def test_kept_flag_parses(command, flag, value):
+    args = build_parser().parse_args([*command, flag, value])
+    dest = "fmt" if flag == "--format" else flag[2:].replace("-", "_")
+    assert str(getattr(args, dest)) == value
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMAND_FLAGS))
+def test_help_lists_exactly_the_subcommand_flags(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main([command[0], "--help"])
+    assert exit_.value.code == 0
+    flags = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+    assert flags - {"--help"} == {flag for flag, _ in SUBCOMMAND_FLAGS[command]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "g.edges", "--budget-nodes", "0"],
+    ["analyze", "g.edges", "--max-cycles", "0"],
+    ["verify", "figure1", "--threads", "0"],
+])
+def test_counts_below_one_exit_2_with_a_json_error(capsys, argv):
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "schema": 1, "error": "budgets and threads must be positive"}
 
 
 def test_analyze_diameter_and_expansion(tmp_path, capsys):

@@ -273,10 +273,10 @@ def test_lifted_family_is_nearly_transitive_on_toroidal():
 
 # --- symmetric induced-cycle extraction ----------------------------------------
 
-def test_symmetry_cycle_on_c50():
+def test_symmetry_cycle_on_c50(monkeypatch):
+    monkeypatch.setattr(cyclegraph, "PATH_BUDGET", 50_000)
     G = undirected_cycle(50)
-    cycle, report = induced_cycle_via_symmetry(G, rotations(50),
-                                               path_budget=50_000)
+    cycle, report = induced_cycle_via_symmetry(G, rotations(50))
     assert len(cycle) == 50          # the only induced cycle
     assert report["floor_holds"]     # 50 >= 25 - 17
     if report["mode"] == "construction":
@@ -292,17 +292,19 @@ def test_geodesic_tail_search_with_a_zero_budget_returns_the_seed():
     assert path == list(seed)
 
 
-def test_symmetry_cycle_falls_back_under_tiny_budget():
+def test_symmetry_cycle_falls_back_under_tiny_budget(monkeypatch):
+    monkeypatch.setattr(cyclegraph, "PATH_BUDGET", 5)
     G = undirected_cycle(44)
-    cycle, report = induced_cycle_via_symmetry(G, rotations(44), path_budget=5)
+    cycle, report = induced_cycle_via_symmetry(G, rotations(44))
     assert len(cycle) == 44
     assert report["floor_holds"]
 
 
-def test_symmetry_cycle_on_a_cycle_deeper_than_the_recursion_limit():
+def test_symmetry_cycle_on_a_cycle_deeper_than_the_recursion_limit(
+        monkeypatch):
+    monkeypatch.setattr(cyclegraph, "PATH_BUDGET", 5000)
     G = undirected_cycle(1100)
-    cycle, report = induced_cycle_via_symmetry(G, rotations(1100),
-                                               path_budget=5000)
+    cycle, report = induced_cycle_via_symmetry(G, rotations(1100))
     assert len(cycle) == 1100 and report["floor_holds"]
 
 

@@ -141,7 +141,7 @@ def test_edge_list_comments_and_errors():
 
 
 def test_dot_collapses_digons():
-    text = to_dot(digon(), collapse_digons=True)
+    text = to_dot(digon())
     assert "0 -> 1 [dir=both];" in text
     text = to_dot(triangle())
     assert "0 -> 1;" in text and "2 -> 0;" in text

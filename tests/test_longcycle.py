@@ -82,13 +82,13 @@ def test_expansion_at_the_cap_is_exact_and_small(D, alpha, witness):
 def test_sampled_expansion_upper_bounds_exact():
     D = directed_cycle_product(2, 4)
     exact = expansion_exact(D).alpha_lower
-    sampled = expansion_sampled(D, samples=500, seed=0).alpha_lower
+    sampled = expansion_sampled(D, seed=0).alpha_lower
     assert sampled >= exact
-    assert not expansion_sampled(D, samples=10).exact
+    assert not expansion_sampled(D).exact
     # same seed, same certificate
-    again = expansion_sampled(D, samples=500, seed=0)
+    again = expansion_sampled(D, seed=0)
     assert again.alpha_lower == sampled
-    assert expansion_sampled(D, samples=500, seed=0).witness_set == again.witness_set
+    assert expansion_sampled(D, seed=0).witness_set == again.witness_set
 
 
 def test_transitive_bound_holds_on_certified_inputs():
