@@ -16,7 +16,8 @@ import os
 import sys
 
 from .automorphisms import automorphism_family_by_search
-from .digraph import INF, UNKNOWN, read_edge_list, to_dot, write_edge_list
+from .digraph import (EXACT_DEFAULT_MAX, INF, UNKNOWN, read_edge_list,
+                      to_dot, write_edge_list)
 from .gadgets import (GadgetVerificationError, four_cycle_chain,
                       directed_cycle_product, toroidal_gadget)
 from .groups import cayley_digraph, left_translations, parse_cayley_spec
@@ -25,7 +26,6 @@ from .longcycle import (dfs_long_cycle, expansion_check_transitive_bound,
                         EXPANSION_EXACT_MAX)
 from .cyclegraph import (DEFAULT_MAX_COUNT, cycle_graph_diameter_check,
                          pipeline_n13)
-from .oracles import EXACT_DEFAULT_MAX
 from .numbergap import (motohashi_pairs, perimeter_gap_table,
                         search_prime_partitionable)
 from .reports import all_assertions_hold, dump, make_report, write_csv
@@ -232,22 +232,25 @@ def cmd_analyze(args) -> int:
 
 # --- verify ------------------------------------------------------------------
 
-# The option each parameterised suite reads; the rest use built-in corpora.
-SUITE_OPTIONS = {"trotter-erdos": "max_order", "divisibility": "max_order",
-                 "figure1": "max_k", "toroidal": "max_n"}
+# The option each parameterised suite reads, and its largest value where the
+# suite enumerates every cycle without a count cap (divisibility on
+# n <= max_order vertices, figure1 on n = 4k); the rest use built-in corpora.
+SUITE_OPTIONS = {"trotter-erdos": ("max_order", None),
+                 "divisibility": ("max_order", EXACT_DEFAULT_MAX),
+                 "figure1": ("max_k", EXACT_DEFAULT_MAX // 4),
+                 "toroidal": ("max_n", None)}
 
 
 def cmd_verify(args) -> int:
     log.info("verify %s: start", args.suite)
-    if (args.suite == "divisibility" and args.max_order is not None
-            and args.max_order > EXACT_DEFAULT_MAX):
-        sys.stderr.write(f"verify divisibility: --max-order {args.max_order} "
-                         f"capped at {EXACT_DEFAULT_MAX}\n")
-        args.max_order = EXACT_DEFAULT_MAX
+    option, cap = SUITE_OPTIONS.get(args.suite, (None, None))
+    value = getattr(args, option) if option else None
+    if value is not None and cap is not None and value > cap:
+        sys.stderr.write(f"verify {args.suite}: --{option.replace('_', '-')} "
+                         f"{value} capped at {cap}\n")
+        value = cap
     # looked up on the module at call time, so a wrapped suite_* runs
     suite = getattr(V, V.SUITES[args.suite].__name__)
-    option = SUITE_OPTIONS.get(args.suite)
-    value = getattr(args, option) if option else None
     result = suite() if value is None else suite(value)
     log.info("verify %s: end, %d rows", args.suite, len(result.rows))
 

@@ -17,11 +17,12 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .digraph import (Budget, Digraph, DirectedCycle, Graph, INF,
-                      canonical_rotation, directed_cycle, iter_bits, reacher)
+from .digraph import (EXACT_DEFAULT_MAX, Budget, Digraph, DirectedCycle,
+                      Graph, INF, canonical_rotation, directed_cycle,
+                      iter_bits, reacher)
 from .groups import AutomorphismFamily
 from .longcycle import dfs_long_cycle
-from .oracles import EXACT_DEFAULT_MAX, brute_longest_induced_cycle
+from .oracles import brute_longest_induced_cycle
 
 DEFAULT_MAX_COUNT = 10 ** 6
 SPOT_CHECK_PAIRS = 100

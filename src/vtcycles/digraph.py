@@ -7,7 +7,8 @@ mutate after construction, so they can be shared freely; every query is a
 pure function of its arguments.  Vertex sets are plain ``frozenset``
 objects, distances use ``INF`` for unreachable pairs, and undecided search
 verdicts use the ``UNKNOWN`` singleton rather than ``None``.  Exhaustive
-searches count their nodes against a ``Budget``.
+searches count their nodes against a ``Budget``; ``Budget.over`` lets one
+run uncapped only over at most ``EXACT_DEFAULT_MAX`` items.
 
 Bitset traversal goes through four helpers: ``adjacency_masks`` turns
 adjacency rows into per-vertex bitmasks, ``shift_classes`` groups the arcs
@@ -51,6 +52,8 @@ class Unknown:
 
 UNKNOWN = Unknown()
 
+EXACT_DEFAULT_MAX = 20  # most items an exhaustive search may walk uncapped
+
 
 class Budget:
     """Node budget shared by the steps of an exhaustive search.
@@ -65,6 +68,14 @@ class Budget:
     def __init__(self, cap=None):
         self.used = 0
         self.cap = cap
+
+    @classmethod
+    def over(cls, n: int, cap=None) -> "Budget":
+        """The budget of an exhaustive search over n items; an uncapped one
+        over more than ``EXACT_DEFAULT_MAX`` items raises ``ValueError``."""
+        if cap is None and n > EXACT_DEFAULT_MAX:
+            raise ValueError(f"n={n} needs an explicit budget")
+        return cls(cap)
 
     def spend(self) -> bool:
         self.used += 1

@@ -19,10 +19,13 @@ silently returning the best found.
 
 Every exhaustive search here is iterative, and each backtracking search
 charges one shared node ``Budget``, so a deep input runs into its cap, never
-into the interpreter's recursion limit.  The simple-path searches all walk
-``simple_paths``.  The induced-cycle searches walk ``_induced_closures``,
-whose candidate sets are bitmasks; the longest-induced-cycle oracle keeps
-one best cycle, never the list of all induced cycles.
+into the interpreter's recursion limit.  ``Budget.over`` makes each budget:
+without one, a search over more than ``EXACT_DEFAULT_MAX`` = 20 vertices
+(candidate sets, for the packing) raises ``ValueError``.  The simple-path
+searches all walk ``simple_paths``.  The induced-cycle searches walk
+``_induced_closures``, whose candidate sets are bitmasks; the
+longest-induced-cycle oracle keeps one best cycle, never the list of all
+induced cycles.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ HAM_DP_MAX = 24           # bitmask DP cap
 ALT_CYCLES_MAX = 20       # alternating-cycle cap: 2^a cycle covers walked
 HAM_BACKTRACK_MAX = 40    # budgeted backtracking cap
 HAM_STATE_CAP = 1 << 24   # DP refuses to grow past this many states
-EXACT_DEFAULT_MAX = 20    # unbudgeted exhaustive search cap
 
 
 @dataclass(frozen=True)
@@ -90,9 +92,9 @@ def simple_paths(D: Digraph, start: int, budget: Budget, above: int = -1):
 def brute_hamiltonian(D: Digraph, budget=None):
     """A Hamilton cycle of D, None if provably absent, UNKNOWN if undecided.
 
-    Bitmask DP anchored at vertex 0 for n <= 24; budgeted backtracking up to
-    n <= 40.  The DP bails out to UNKNOWN if its state table would exceed
-    the memory cap (which cannot happen for sparse desk-scale inputs).
+    Bitmask DP anchored at vertex 0 for n <= 24, backtracking under an
+    explicit ``budget`` up to n <= 40.  The DP bails out to UNKNOWN if its
+    state table would exceed the memory cap (not on sparse desk-scale inputs).
     """
     n = D.n
     if n < 2:
@@ -103,7 +105,7 @@ def brute_hamiltonian(D: Digraph, budget=None):
         return _hamiltonian_dp(D)
     if n > HAM_BACKTRACK_MAX:
         raise ValueError(f"n={n} beyond the Hamiltonicity oracle caps")
-    spent = Budget(budget)
+    spent = Budget.over(n, budget)
     for path in simple_paths(D, 0, spent):
         if len(path) == n and D.has_arc(path[-1], 0):
             return directed_cycle(D, path)
@@ -218,12 +220,9 @@ def brute_longest_cycle(D: Digraph, budget=None) -> SearchResult:
     Roots are taken in ascending order and each cycle is explored only from
     its minimum vertex, so the first optimum found is canonical.
     """
-    n = D.n
-    if budget is None and n > EXACT_DEFAULT_MAX:
-        raise ValueError(f"n={n} needs an explicit budget")
-    spent = Budget(budget)
+    spent = Budget.over(D.n, budget)
     best = []
-    for root in range(n):
+    for root in range(D.n):
         for path in simple_paths(D, root, spent, above=root):
             if (len(path) >= 2 and len(path) > len(best)
                     and D.has_arc(path[-1], root)):
@@ -236,12 +235,9 @@ def brute_longest_cycle(D: Digraph, budget=None) -> SearchResult:
 
 def brute_longest_path(D: Digraph, budget=None) -> SearchResult:
     """Longest directed path by exhaustive DFS from every start vertex."""
-    n = D.n
-    if budget is None and n > EXACT_DEFAULT_MAX:
-        raise ValueError(f"n={n} needs an explicit budget")
-    spent = Budget(budget)
+    spent = Budget.over(D.n, budget)
     best = []
-    for s in range(n):
+    for s in range(D.n):
         for path in simple_paths(D, s, spent):
             if len(path) > len(best):
                 best = list(path)
@@ -257,7 +253,7 @@ def find_path_of_length(D: Digraph, target: int, budget=None):
     Early-exit existence search; used by gadget post-verification where the
     claim is a lower bound, not an optimum.
     """
-    spent = Budget(budget)
+    spent = Budget.over(D.n, budget)
     for s in range(D.n):
         for path in simple_paths(D, s, spent):
             if len(path) - 1 >= target:
@@ -277,14 +273,11 @@ def induced_cycles(G: Graph, min_len: int = 3, budget=None):
     list expands the closer masks of ``_induced_closures`` in ascending bit
     order.  Returns (list of vertex tuples, exact flag).
     """
-    spent = Budget(budget)
+    spent = Budget.over(G.n, budget)
     out = []
     for path, closers in _induced_closures(G, min_len, spent):
         head = tuple(path)
-        while closers:
-            low = closers & -closers
-            out.append(head + (low.bit_length() - 1,))
-            closers ^= low
+        out += (head + (w,) for w in iter_bits(closers))
     return out, not spent.exhausted
 
 
@@ -292,7 +285,7 @@ def brute_longest_induced_cycle(G: Graph, budget=None) -> SearchResult:
     """Longest induced cycle: the first of maximum length in the order of
     ``induced_cycles``, found without building that list.  Only one best
     cycle is kept; ``expansions`` counts the nodes the walk spent."""
-    spent = Budget(budget)
+    spent = Budget.over(G.n, budget)
     best = None
     for path, closers in _induced_closures(G, 3, spent):
         if best is None or len(path) + 1 > len(best):
@@ -314,11 +307,8 @@ def _induced_closures(G: Graph, min_len: int, spent: Budget):
     ``spent`` is charged per path start and per extension, and the walk
     ends at the first refused node, after the closers below it.
     """
-    n = G.n
-    if spent.cap is None and n > EXACT_DEFAULT_MAX:
-        raise ValueError(f"n={n} needs an explicit budget")
     adj_masks = G.masks
-    for root in range(n):
+    for root in range(G.n):
         above = -1 << (root + 1)
         root_adj = adj_masks[root]
         starts = root_adj & above
@@ -363,24 +353,19 @@ def _induced_closures(G: Graph, min_len: int, spent: Budget):
 
 # --- cycle packings and intersections --------------------------------------
 
-def max_disjoint_cycles(cycles, target=None, budget=None):
-    """Maximum number of vertex-disjoint cycles from the given list.
-
-    Exact backtracking with optional early exit once ``target`` disjoint
-    cycles are found.  Returns (count, exact flag).
-    """
+def max_disjoint_cycles(cycles, budget=None):
+    """Maximum number of vertex-disjoint cycles from the given list, by exact
+    backtracking over their distinct vertex sets.  Returns (count, exact)."""
     sets = sorted({frozenset(c.vertices) if isinstance(c, DirectedCycle)
                    else frozenset(c) for c in cycles},
                   key=lambda s: (len(s), sorted(s)))
-    spent = Budget(budget)
+    spent = Budget.over(len(sets), budget)
     best = 0
     frames = []  # frames[k]: (indices left for set k + 1, union of sets 1..k)
     i, used = 0, frozenset()
     while spent.spend():
         count = len(frames)
         best = max(best, count)
-        if target is not None and best >= target:
-            break
         if count + (len(sets) - i) > best:
             frames.append((iter(range(i, len(sets))), used))
         # advance to the next disjoint choice, backtracking as frames run out
@@ -395,7 +380,7 @@ def max_disjoint_cycles(cycles, target=None, budget=None):
                 frames.pop()
         if i is None:
             break
-    return best, not spent.exhausted or (target is not None and best >= target)
+    return best, not spent.exhausted
 
 
 def longest_cycles_pairwise_intersect(D: Digraph, budget=None):

@@ -346,6 +346,18 @@ def test_verify_divisibility_names_its_order_cap(capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_verify_figure1_names_its_block_cap(capsys):
+    # k = 6 has n = 24 > 20 vertices, past uncapped enumeration
+    assert main(["verify", "figure1", "--max-k", "8"]) == 0
+    capped = capsys.readouterr()
+    assert main(["verify", "figure1", "--max-k", "5"]) == 0
+    at_cap = capsys.readouterr()
+    assert capped.out == at_cap.out
+    assert capped.out.splitlines()[-1] == "5,20,1,1,4,5,1"
+    assert capped.err == "verify figure1: --max-k 8 capped at 5\n"
+    assert at_cap.err == ""
+
+
 @pytest.mark.parametrize("suite", list(SUITES))
 def test_verify_at_its_defaults_writes_nothing_to_stderr(suite, capsys):
     # each suite runs at its own default, so no option is capped

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vtcycles.digraph import (Digraph, INF, cartesian_product, directed_cycle,
+from vtcycles.digraph import (EXACT_DEFAULT_MAX, Budget, Digraph, INF,
+                              cartesian_product, directed_cycle,
                               directed_path, read_edge_list, to_dot,
                               write_edge_list)
 from vtcycles.gadgets import complete_bidirected, cycle_digraph
@@ -16,6 +17,14 @@ def digon():
 
 def triangle():
     return Digraph(3, [(0, 1), (1, 2), (2, 0)])
+
+
+def test_budget_over_n_items_is_uncapped_only_up_to_the_exact_cap():
+    assert EXACT_DEFAULT_MAX == 20
+    assert Budget.over(20).cap is None
+    assert Budget.over(21, 5).cap == 5
+    with pytest.raises(ValueError, match="n=21 needs an explicit budget"):
+        Budget.over(21)
 
 
 def test_build_digon_and_triangle():

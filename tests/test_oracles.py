@@ -194,8 +194,6 @@ def test_max_disjoint_cycles_chain():
     four = [c for c in cycles if c.length == 4]
     count, exact = max_disjoint_cycles(four)
     assert exact and count == 3
-    hit, known = max_disjoint_cycles(four, target=2)
-    assert known and hit >= 2
 
 
 def test_pairwise_intersection_question():
@@ -297,7 +295,38 @@ def test_deep_induced_cycle_and_packing_searches():
     cycles, exact = induced_cycles(G, budget=10 ** 4)
     assert cycles == [tuple(range(3000))] and not exact
     digons = [(2 * i, 2 * i + 1) for i in range(1500)]
-    assert max_disjoint_cycles(digons, target=1500, budget=10 ** 4) == (1500, True)
+    assert max_disjoint_cycles(digons, budget=10 ** 4) == (1500, False)
+
+
+def _bidirected_k25_with_a_digon():
+    # K25 on 0..24, both ways, and the digon 0 <-> 25: vertex 25 has one
+    # neighbour, so there is no Hamilton cycle and no 26-arc path, and a
+    # walk over the simple paths has no end in sight
+    arcs = [(u, v) for u in range(25) for v in range(25) if u != v]
+    return Digraph(26, arcs + [(0, 25), (25, 0)])
+
+
+def test_backtracking_past_the_exact_cap_needs_a_budget():
+    D = _bidirected_k25_with_a_digon()
+    with pytest.raises(ValueError, match="n=26 needs an explicit budget"):
+        brute_hamiltonian(D)
+    with pytest.raises(ValueError, match="n=26 needs an explicit budget"):
+        find_path_of_length(D, 26)
+    assert brute_hamiltonian(D, budget=10 ** 6) is UNKNOWN
+    assert find_path_of_length(D, 26, budget=10 ** 6) is UNKNOWN
+
+
+def test_packing_past_the_exact_cap_needs_a_budget():
+    cycles = complete_directed_cycles(four_cycle_chain(12), max_count=10 ** 6)
+    four = [c for c in cycles if c.length == 4]
+    assert len(four) == 67
+    with pytest.raises(ValueError, match="n=67 needs an explicit budget"):
+        max_disjoint_cycles(four)
+    # n counts distinct vertex sets: 20 of them run uncapped, 21 do not
+    digons = [(2 * i, 2 * i + 1) for i in range(20)]
+    assert max_disjoint_cycles(digons + [(v, u) for u, v in digons]) == (20, True)
+    with pytest.raises(ValueError, match="n=21 needs an explicit budget"):
+        max_disjoint_cycles(digons + [(40, 41)])
 
 
 def test_longest_induced_cycle_reports_its_expansions():
