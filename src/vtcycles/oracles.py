@@ -251,9 +251,12 @@ def find_path_of_length(D: Digraph, target: int, budget=None):
     """First directed path with at least ``target`` arcs, or None/UNKNOWN.
 
     Early-exit existence search; used by gadget post-verification where the
-    claim is a lower bound, not an optimum.
+    claim is a lower bound, not an optimum.  No simple path has ``target``
+    >= n arcs, so that answer is None without a search.
     """
     spent = Budget.over(D.n, budget)
+    if target >= D.n:
+        return None
     for s in range(D.n):
         for path in simple_paths(D, s, spent):
             if len(path) - 1 >= target:

@@ -187,6 +187,21 @@ def test_perimeter_gap_table():
     assert by_pair[(5, 11)]["d"] == 16
 
 
+def test_table_rows_match_the_witness_definition():
+    # every row rebuilt from the definition: n2 is d times the primes below
+    # d other than p and q, found by trial division up to the largest d
+    rows = perimeter_gap_table(1000)
+    max_d = max(row["d"] for row in rows)
+    primes = [z for z in range(2, max_d) if trial_division_prime(z)]
+    assert [row["p"] for row in rows] == sorted({row["p"] for row in rows})
+    for row in rows:
+        p, q, d = row["p"], row["q"], row["d"]
+        others = [z for z in primes if z < d and z not in (p, q)]
+        assert d == p + q and row["n1"] == d * p * q, (p, q)
+        assert row["n2"] == d * math.prod(others), (p, q)
+        assert prime_partitionable_check(d, row["n1"], row["n2"]).valid, (p, q)
+
+
 def test_motohashi_pairs_match_an_independent_scan():
     # q = 1 + kp for k = 1, 2, ..., each tested by trial division and
     # kept when q^25 < p^41 holds exactly
@@ -340,5 +355,5 @@ def test_witness_sieves_the_primes_below_d_once(monkeypatch):
     wit = witness_from_prime_pair(5, 11)
     assert wit.certificate.valid and calls == [16]
     calls.clear()
-    rows = numbergap.perimeter_gap_table(1000)
-    assert len(calls) == len(rows) + 1   # one per witness, one for the pairs
+    numbergap.perimeter_gap_table(1000)
+    assert len(calls) == 2      # one for the pairs, one for the whole table

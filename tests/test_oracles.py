@@ -313,7 +313,7 @@ def test_backtracking_past_the_exact_cap_needs_a_budget():
     with pytest.raises(ValueError, match="n=26 needs an explicit budget"):
         find_path_of_length(D, 26)
     assert brute_hamiltonian(D, budget=10 ** 6) is UNKNOWN
-    assert find_path_of_length(D, 26, budget=10 ** 6) is UNKNOWN
+    assert find_path_of_length(D, 26, budget=10 ** 6) is None
 
 
 def test_packing_past_the_exact_cap_needs_a_budget():
