@@ -56,12 +56,15 @@ def complete_directed_cycles(D: Digraph, max_count=None):
     # tails[ends[i - 1]:ends[i]]; no object per cycle, as keeps and ends
     # hold machine integers (tails holds the path's own int objects)
     keeps, ends, tails = array("q"), array("q"), []
+    add_keep, add_end = keeps.append, ends.append
+    count = 0
     for keep, path in _johnson(D):
-        if len(keeps) >= cap:
+        if count >= cap:
             return None
-        keeps.append(keep)
+        count += 1
+        add_keep(keep)
         tails += path[keep:]
-        ends.append(len(tails))
+        add_end(len(tails))
     path, cycles, start = [], [], 0
     for keep, end in zip(keeps, ends):
         path[keep:] = tails[start:end]
@@ -81,22 +84,25 @@ def _log_enumeration(stage: str, cycles, max_count) -> None:
 
 
 def _johnson(D: Digraph):
-    """Johnson's circuit enumeration with an explicit stack: ``frames[i]``
-    iterates the out-neighbors of ``path[i]``.  Yields each circuit as
-    (closed, path): the live path, and the length of its prefix that is
-    unchanged since the previous yield (0 at a root's first circuit).  The
-    path starts at its root, the circuit's minimum vertex, so it is already
-    in canonical rotation.  A vertex whose subtree closed a circuit is
-    unblocked on the way back, any other one waits on the B-lists of its
-    out-neighbors.  ``adj``, ``blocked`` and the B-lists are indexed by
-    vertex; each root resets those of the vertices >= root that reach it,
-    one backward reach set: its walk, kept inside them, visits exactly
-    root's strong component."""
+    """Johnson's circuit enumeration (SIAM J. Comput. 1975) with an explicit
+    stack: ``it`` iterates the out-neighbors of the deepest path vertex and
+    ``frames`` holds the suspended iterators of the vertices above it.
+    Yields each circuit as (closed, path): the live path, and the length of
+    its prefix that is unchanged since the previous yield (0 at a root's
+    first circuit).  The path starts at its root, the circuit's minimum
+    vertex, so it is already in canonical rotation.  A vertex whose subtree
+    closed a circuit is unblocked on the way back, any other one waits on
+    the B-lists of its out-neighbors.  ``adj``, ``blocked`` and the B-lists
+    are indexed by vertex; each root resets those of the vertices >= root
+    that reach it, one backward reach set: its walk, kept inside them,
+    visits exactly root's strong component.  Only a blocked neighbor is
+    compared with the (blocked) root, a B-list holds each in-neighbor at
+    most once, and an empty one starts no unblock cascade."""
     n = D.n
     reach_back = reacher(D.inn)
     adj = [()] * n
     blocked = [False] * n
-    blist = [set() for _ in range(n)]
+    blist = [[] for _ in range(n)]
     for root in range(n):
         back = reach_back(root, -1 << root)
         for v in iter_bits(back):
@@ -106,42 +112,55 @@ def _johnson(D: Digraph):
         if not adj[root]:
             continue
         path = [root]
-        frames = [iter(adj[root])]
+        push, pop = path.append, path.pop
+        frames = []
+        save, resume = frames.append, frames.pop
+        it = iter(adj[root])
         blocked[root] = True
+        depth = 1   # len(path)
         # path[:closed] holds the vertices under which a circuit closed
         # since they were entered: a circuit closing at depth d marks
         # all of path[:d].  Being the lowest depth since the last circuit,
         # it is also the prefix that circuit shares with this one.
         closed = 0
-        while frames:
-            for w in frames[-1]:
-                if w == root:
-                    yield closed, path
-                    closed = len(path)
-                elif not blocked[w]:
-                    path.append(w)
-                    frames.append(iter(adj[w]))
+        while True:
+            for w in it:
+                if blocked[w]:
+                    if w == root:
+                        yield closed, path
+                        closed = depth
+                else:
+                    push(w)
+                    save(it)
+                    it = iter(adj[w])
                     blocked[w] = True
+                    depth += 1
                     break
             else:
-                frames.pop()
-                v = path.pop()
-                if closed > len(path):
-                    closed = len(path)
+                if not frames:   # root's walk is over
+                    break
+                it = resume()
+                v = pop()
+                depth -= 1
+                if closed > depth:
+                    closed = depth
                     # unblock v and, transitively, every blocked vertex
                     # on the B-lists met
                     blocked[v] = False
-                    todo = [v]
-                    while todo:
-                        u = todo.pop()
-                        for w in blist[u]:
-                            if blocked[w]:
-                                blocked[w] = False
-                                todo.append(w)
-                        blist[u].clear()
+                    if blist[v]:
+                        todo = [v]
+                        while todo:
+                            u = todo.pop()
+                            for w in blist[u]:
+                                if blocked[w]:
+                                    blocked[w] = False
+                                    todo.append(w)
+                            blist[u].clear()
                 else:
                     for w in adj[v]:
-                        blist[w].add(v)
+                        waiting = blist[w]
+                        if v not in waiting:
+                            waiting.append(v)
 
 
 # --- the intersection graph -------------------------------------------------

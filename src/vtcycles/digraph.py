@@ -14,7 +14,9 @@ Bitset traversal goes through four helpers: ``adjacency_masks`` turns
 adjacency rows into per-vertex bitmasks, ``shift_classes`` groups the arcs
 v -> w by their offset (w - v) mod n, ``bitset_bfs`` runs one
 level-synchronous BFS over masks, optionally inside an ``allowed`` vertex
-mask, and ``reacher`` serves the searches that need only reach sets: it
+mask and, given in-neighbor masks, direction-optimizing (a level wider
+than the unreached set steps bottom up; ``Graph`` passes its own masks),
+and ``reacher`` serves the searches that need only reach sets: it
 fills by the shift classes when there are few of them for n, as on a
 Cayley host on cyclic or product ids, and runs ``bitset_bfs`` otherwise.
 ``Digraph`` stays sparse (sorted tuples and a list BFS): hosts reach
@@ -153,24 +155,39 @@ def shift_classes(rows) -> tuple:
     return tuple(sorted(sources.items()))
 
 
-def bitset_bfs(masks, start: int, allowed: int = -1):
+def bitset_bfs(masks, start: int, allowed: int = -1, inn=None):
     """Level-synchronous BFS from ``start`` over the neighbor ``masks``,
-    confined to the vertex mask ``allowed`` (which must contain ``start``):
-    each level is the OR of the frontier's masks minus the vertices already
-    reached.  Returns (reached mask, number of levels after ``start``, last
+    confined to the vertex mask ``allowed`` (which must contain ``start``).
+    A top-down step ORs the level's masks and keeps the unreached vertices.
+    Given the in-neighbor masks ``inn``, a level that outnumbers the
+    unreached allowed vertices takes a bottom-up step instead (Beamer,
+    Asanovic and Patterson, SC 2012): each such vertex joins the next level
+    when its in-neighbors meet the current one.  Both steps give the same
+    levels.  Returns (reached mask, number of levels after ``start``, last
     nonempty level mask)."""
     reached = level = 1 << start
+    unreached = allowed & ((1 << len(masks)) - 1) & ~reached
     depth = 0
     while True:
-        nxt, rest = 0, level
-        while rest:
-            low = rest & -rest
-            nxt |= masks[low.bit_length() - 1]
-            rest ^= low
-        nxt &= allowed & ~reached
+        nxt = 0
+        if inn is not None and level.bit_count() > unreached.bit_count():
+            rest = unreached
+            while rest:
+                low = rest & -rest
+                if inn[low.bit_length() - 1] & level:
+                    nxt |= low
+                rest ^= low
+        else:
+            rest = level
+            while rest:
+                low = rest & -rest
+                nxt |= masks[low.bit_length() - 1]
+                rest ^= low
+            nxt &= unreached
         if not nxt:
             return reached, depth, level
         reached |= nxt
+        unreached ^= nxt
         level = nxt
         depth += 1
 
@@ -231,7 +248,7 @@ class Digraph:
     and ties always break toward the lowest vertex id.
     """
 
-    __slots__ = ("n", "out", "inn")
+    __slots__ = ("n", "out", "inn", "_strong")
 
     def __init__(self, n: int, arcs):
         if n < 0:
@@ -336,10 +353,14 @@ class Digraph:
         return None if pair is None else self.shortest_path(*pair)
 
     def is_strongly_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        return (INF not in self.bfs_distances(0)
+        """Computed on the first call only: the digraph never changes."""
+        try:
+            return self._strong
+        except AttributeError:
+            self._strong = self.n <= 1 or (
+                INF not in self.bfs_distances(0)
                 and INF not in self.bfs_distances(0, reverse=True))
+            return self._strong
 
     def regularity(self):
         """Common in/out degree r if the digraph is r-regular, else None."""
@@ -427,7 +448,7 @@ class Graph(Digraph):
         full = (1 << self.n) - 1
         best, pair = 0, None
         for s in range(self.n):
-            reached, ecc, last = bitset_bfs(self.masks, s)
+            reached, ecc, last = bitset_bfs(self.masks, s, inn=self.masks)
             if reached != full:
                 return INF, None
             if ecc > best or pair is None:

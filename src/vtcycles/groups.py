@@ -280,6 +280,7 @@ class AutomorphismFamily:
         self.n = n
         self.generators = _permutations(n, generators)
         self.group = group
+        self._certified = None   # the last digraph certifies passed
         if group is None:  # an explicit list stands in for the built rows
             self.permutations = _permutations(n, permutations)
 
@@ -300,14 +301,21 @@ class AutomorphismFamily:
         least one, each preserves every arc of D, and the orbit of vertex 0
         under them is all of D.  Then the group they generate acts
         transitively by automorphisms, whatever the members are.  Costs
-        k*m ``has_arc`` calls and one Schreier vector; never raises."""
+        k*m ``has_arc`` calls and one Schreier vector, except for the
+        digraph that passed last: the family and D are both immutable, so
+        it passes again at once.  Never raises."""
+        if D is self._certified:
+            return True
         if not self.generators or D.n != self.n:
             return False
         try:
             _check_arcs(D, self.generators)
         except ValueError:
             return False
-        return len(schreier_vector(self.generators, 0)) == self.n
+        if len(schreier_vector(self.generators, 0)) != self.n:
+            return False
+        self._certified = D
+        return True
 
     def is_transitive(self) -> bool:
         """True iff for every ordered pair (u,v) some member maps u to v,

@@ -6,8 +6,10 @@ import logging
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from vtcycles import groups
 from vtcycles.automorphisms import automorphism_family_by_search
 from vtcycles.cyclegraph import pipeline_n13
+from vtcycles.digraph import Digraph
 from vtcycles.gadgets import (complete_bidirected, directed_cycle_product,
                               toroidal_gadget)
 from vtcycles.groups import (AutomorphismFamily, CayleySpec, cayley_digraph,
@@ -115,3 +117,40 @@ def test_pipeline_logs_which_diameter_route_ran(caplog):
         assert caplog.messages == ["pipeline_n13: diameter by all-pairs sweep",
                                    "pipeline_n13: 96 cycles, complete"]
     assert certified == swept
+
+
+def test_cayley_pipeline_certifies_its_host_once(monkeypatch):
+    """``left_translations`` certifies Z2000<1,7> with one arc check, and
+    building the host runs the one strong-connectivity check (two BFS);
+    ``pipeline_n13`` then reuses both and adds only the BFS from vertex 0."""
+    calls = {"_check_arcs": 0, "bfs_distances": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(groups, "_check_arcs",
+                        counted("_check_arcs", groups._check_arcs))
+    monkeypatch.setattr(Digraph, "bfs_distances",
+                        counted("bfs_distances", Digraph.bfs_distances))
+    spec = CayleySpec(cyclic_group(2000), (1, 7))
+    fam = left_translations(spec)
+    assert calls == {"_check_arcs": 1, "bfs_distances": 2}
+    D = cayley_digraph(spec)
+    assert D.is_strongly_connected() and fam.certifies(D)
+    _, report = pipeline_n13(D, fam, max_cycles=1000)
+    assert report["partial"] and report["result_length"] == 860
+    assert calls == {"_check_arcs": 1, "bfs_distances": 3}
+
+
+def test_certified_digraph_is_remembered_only_after_it_passes():
+    D, fam = _z12_1_7()
+    # the 12-cycle with one chord: translation by 1 does not preserve it
+    other = Digraph(12, [(v, (v + 1) % 12) for v in range(12)] + [(0, 5)])
+    for _ in range(2):
+        assert not fam.certifies(other)
+    for _ in range(2):
+        assert fam.certifies(D)
+    assert not fam.certifies(other)

@@ -149,6 +149,48 @@ def test_bitset_bfs_matches_naive_bfs_inside_allowed(data):
     assert (last & -last).bit_length() - 1 == dist.index(depth)
     if allowed == (1 << n) - 1:  # the default confines nothing
         assert bitset_bfs(adjacency_masks(rows), start) == (reached, levels, last)
+    # the directed rows with their transposed masks: wide levels step
+    # bottom up, and every level stays what the top-down run found
+    inn = adjacency_masks([[u for u in range(n) if v in rows[u]] for v in range(n)])
+    assert bitset_bfs(adjacency_masks(rows), start, allowed, inn) == (reached, levels, last)
+
+
+def _top_down_farthest_pair(G):
+    """``Graph._farthest_pair`` with no bottom-up step: ``bitset_bfs``
+    without in-neighbor masks."""
+    best, pair = 0, None
+    for s in range(G.n):
+        reached, ecc, last = bitset_bfs(G.masks, s)
+        if reached != (1 << G.n) - 1:
+            return INF, None
+        if ecc > best or pair is None:
+            best, pair = ecc, (s, (last & -last).bit_length() - 1)
+    return best, pair
+
+
+@st.composite
+def connected_or_split_graphs(draw, max_n=24):
+    """A random graph over a random spanning tree, or one with every edge
+    across a cut at k (0 < k < n) dropped."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        edges += [(order[i], order[draw(st.integers(0, i - 1))])
+                  for i in range(1, n)]
+    else:
+        k = draw(st.integers(min_value=1, max_value=n - 1))
+        edges = [(u, v) for u, v in edges if (u < k) == (v < k)]
+    return Graph(n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_or_split_graphs())
+def test_graph_diameter_matches_a_top_down_only_run(G):
+    best, pair = _top_down_farthest_pair(G)
+    assert G.diameter() == best
+    assert G.diameter_path() == (None if pair is None else G.shortest_path(*pair))
 
 
 class _CountedSweeps(tuple):
