@@ -256,7 +256,9 @@ def cmd_verify(args) -> int:
 
     _emit(args, {"schema": 1, "suite": result.name, "ok": result.ok,
                  "rows": list(result.rows)}, (result.rows, result.columns))
-    if not result.ok:
+    if not result.rows:
+        sys.stderr.write(f"verify {args.suite}: no case selected\n")
+    elif not result.ok:
         failing = [r for r in result.rows if not r.get("ok")]
         sys.stderr.write(f"suite {result.name}: {len(failing)} failing case(s)\n")
         for row in failing[:5]:
@@ -295,7 +297,12 @@ def cmd_search(args) -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("VTC_LOG", "WARNING"))
+    level = (os.environ.get("VTC_LOG") or "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):
+        dump({"schema": 1, "error": f"VTC_LOG: unknown level {level!r}"},
+             sys.stdout)
+        return 2
+    logging.basicConfig(level=level)
     args = build_parser().parse_args(argv)
     # only the counts this subcommand has
     if any(getattr(args, flag, 1) < 1

@@ -10,20 +10,21 @@ then set right.  ``is_prime`` runs the fewest Miller-Rabin bases proven
 for its n (at most four for every q that ``motohashi_pairs(10**6)``
 tests, all below 1.2e8) and refuses n it cannot decide.
 
-Both split conditions ask for the first split d = d1 + d2 with
-gcd(n1, d1) = gcd(n2, d2) = 1, and both answer it with one sieve
-(``_first_coprime_split``) instead of two gcds per split.  A split shares a
-factor exactly when a prime below d divides d1 and n1, or d2 and n2.  One
-gcd of each n with the product of the primes below d tells which primes
-divide it; their multiples are marked in one byte mask over d1 = 0..d-1
-(for n2, the d1 with d - d1 a multiple), and the first unmarked d1 >= 1 is
-the answer.  A certificate's per-split gcd evidence (``SplitChecks``) is
-built only when something reads it, so the table of witnesses never
-builds it.  The table takes its witnesses in ascending d, with one sieve
-and one running product of the primes below d, and divides each n2 out of
-that product.  ``perimeter_gap_table(1000)``, whose n2 run to 28k bits,
-takes 0.049 s against 0.117 s with a sieve and a product per witness
-(medians of five processes, 2 vCPUs, Python 3.11.7).
+The gcd-split condition and the witness table ask for the first split
+d = d1 + d2 with gcd(n1, d1) = gcd(n2, d2) = 1, and both answer it with one
+sieve (``_first_coprime_split``) instead of two gcds per split.  A split
+shares a factor exactly when a prime below d divides d1 and n1, or d2 and
+n2.  One gcd of each n with the product of the primes below d tells which
+primes divide it; their multiples are marked in one byte mask over
+d1 = 0..d-1 (for n2, the d1 with d - d1 a multiple), and the first
+unmarked d1 >= 1 is the answer.  ``prime_partitionable_check`` instead
+decides from the definition, split by split, so a printed certificate
+comes from code separate from the sieve.  The table takes its witnesses in
+ascending d, with one sieve and one running product of the primes below
+d, divides each n2 out of that product and builds no certificate.
+``perimeter_gap_table(1000)``, whose n2 run to 28k bits, takes 0.049 s
+against 0.117 s with a sieve and a product per witness (medians of five
+processes, 2 vCPUs, Python 3.11.7).
 
 The witness search needs neither gcds nor products: within its family,
 which primes divide n1 and n2 is known from the bipartition, so each
@@ -37,10 +38,9 @@ against 0.40 s for the counter scan with one sieve per bipartition, and
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress
-from math import gcd, isqrt, log, prod
+from math import exp, gcd, isqrt, log, prod
 
 THETA_NUM = 41   # q admissible iff q^25 < p^41, i.e. q < p^(41/25)
 THETA_DEN = 25
@@ -119,45 +119,6 @@ class SplitCheck:
         return self.g1 >= 2 or self.g2 >= 2
 
 
-class SplitChecks(Sequence):
-    """The d-1 splits d = d1 + d2 of a certificate in ascending d1, each a
-    ``SplitCheck`` with its gcd evidence.  The tuple is built on first
-    access other than ``len``; compares and hashes like that tuple."""
-
-    __slots__ = ("d", "n1", "n2", "_checks")
-
-    def __init__(self, d: int, n1: int, n2: int):
-        self.d, self.n1, self.n2 = d, n1, n2
-        self._checks = None
-
-    def _built(self) -> tuple:
-        if self._checks is None:
-            d, n1, n2 = self.d, self.n1, self.n2
-            self._checks = tuple(SplitCheck(d1, d - d1, gcd(n1, d1), gcd(n2, d - d1))
-                                 for d1 in range(1, d))
-        return self._checks
-
-    def __len__(self) -> int:
-        return self.d - 1
-
-    def __getitem__(self, index):
-        return self._built()[index]
-
-    def __iter__(self):
-        return iter(self._built())
-
-    def __eq__(self, other):
-        if isinstance(other, (SplitChecks, tuple)):
-            return self._built() == tuple(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._built())
-
-    def __repr__(self):
-        return repr(self._built())
-
-
 @dataclass(frozen=True)
 class WitnessCertificate:
     """Evidence that (n1, n2) witnesses d as prime partitionable: gcd(n1,n2)
@@ -166,7 +127,7 @@ class WitnessCertificate:
     d: int
     n1: int
     n2: int
-    splits: SplitChecks
+    splits: tuple
     valid: bool
     reason: str = ""
 
@@ -232,29 +193,21 @@ def divisibility_gap_bound(n1: int, n2: int) -> int:
 
 
 def prime_partitionable_check(d: int, n1: int, n2: int) -> WitnessCertificate:
-    """Decide whether (n1, n2) witnesses d: gcd(n1, n2) = d and none of the
-    d-1 splits is coprime to both sides.  The certificate's ``splits`` are
-    built when read."""
+    """Decide whether (n1, n2) witnesses d from its definition: gcd(n1, n2)
+    = d, and each of the d-1 splits d = d1 + d2 shares a factor with n1
+    through d1 or with n2 through d2.  The certificate lists every split
+    with its two gcds; the reason names the gcd or the first split that
+    fails."""
     if d < 2:
         raise ValueError("d must be at least 2")
-    primes = primes_below(d)
-    return _witness_certificate(d, n1, n2, primes, prod(primes))
-
-
-def _witness_certificate(d: int, n1: int, n2: int, primes,
-                         whole: int) -> WitnessCertificate:
-    """``prime_partitionable_check`` for d >= 2, given the primes below d
-    and their product."""
-    splits = SplitChecks(d, n1, n2)
+    splits = tuple(SplitCheck(d1, d - d1, gcd(n1, d1), gcd(n2, d - d1))
+                   for d1 in range(1, d))
+    reason = next((f"split ({s.d1},{s.d2}) is coprime to both"
+                   for s in splits if not s.shares_factor), "")
     g = gcd(n1, n2)
     if g != d:
-        return WitnessCertificate(d, n1, n2, splits, False,
-                                  f"gcd(n1,n2) = {g} != d")
-    d1 = _first_coprime_split(d, n1, n2, primes, whole)
-    if d1 is not None:
-        return WitnessCertificate(d, n1, n2, splits, False,
-                                  f"split ({d1},{d - d1}) is coprime to both")
-    return WitnessCertificate(d, n1, n2, splits, True)
+        reason = f"gcd(n1,n2) = {g} != d"
+    return WitnessCertificate(d, n1, n2, splits, not reason, reason)
 
 
 SEARCH_D_MAX = 40   # 2^pi(d) bipartitions at most; keep the walk exhaustive
@@ -372,10 +325,6 @@ class PrimePairWitness:
     n: int
     ln_n: float
 
-    @property
-    def ratio(self) -> float:
-        return self.d / self.ln_n
-
 
 def witness_from_prime_pair(p: int, q: int) -> PrimePairWitness:
     """The explicit prime-partitionable witness built from an admissible
@@ -384,8 +333,9 @@ def witness_from_prime_pair(p: int, q: int) -> PrimePairWitness:
 
     Preconditions: q = 1 (mod p), q^25 < p^41, and the size guard
     p^2 > p + q (small pairs like (2,3) fail it and are rejected).  The
-    resulting certificate must validate; anything else is a bug here, not
-    bad input.
+    sieve decides the pair a witness, and the certificate, which checks
+    each split with its own two gcds, must agree; anything else is a bug
+    here, not bad input.
     """
     if not (is_prime(p) and is_prime(q)):
         raise ValueError("both entries must be prime")
@@ -395,22 +345,27 @@ def witness_from_prime_pair(p: int, q: int) -> PrimePairWitness:
         raise ValueError(f"pair ({p},{q}) outside the q < p^(41/25) bound")
     if p * p <= p + q:
         raise ValueError(f"size guard failed: {p}^2 <= {p + q}")
-    primes = primes_below(p + q)
-    return _prime_pair_witness(p, q, primes, prod(primes))
-
-
-def _prime_pair_witness(p: int, q: int, primes,
-                        whole: int) -> PrimePairWitness:
-    """``witness_from_prime_pair`` for a pair that passed its guards, given
-    the primes below d = p + q and their product: n2 = d * (whole // (p*q))
-    is exact, since p < q < d are both among those primes."""
     d = p + q
-    n1 = d * p * q
-    n2 = d * (whole // (p * q))
-    cert = _witness_certificate(d, n1, n2, primes, whole)
+    primes = primes_below(d)
+    n1, n2 = _witness_sides(p, q, primes, prod(primes))
+    cert = prime_partitionable_check(d, n1, n2)
     assert cert.valid, "constructed witness failed its own certificate"
     n = n1 * n2
     return PrimePairWitness(d, n1, n2, cert, n, log(n))
+
+
+def _witness_sides(p: int, q: int, primes, whole: int):
+    """(n1, n2) of the witness from a pair that passed its guards, given
+    the primes below d = p + q and their product: n2 = d * (whole // (p*q))
+    is exact, since p < q < d are both among those primes.  The sieve
+    asserts that the pair witnesses d."""
+    d = p + q
+    n1 = d * p * q
+    n2 = d * (whole // (p * q))
+    assert gcd(n1, n2) == d, "constructed witness has the wrong gcd"
+    assert _first_coprime_split(d, n1, n2, primes, whole) is None, \
+        "constructed witness has a coprime split"
+    return n1, n2
 
 
 def perimeter_gap_table(p_max: int):
@@ -425,8 +380,6 @@ def perimeter_gap_table(p_max: int):
     product of the primes below d; each row goes back to its place in
     ascending p.
     """
-    from math import exp
-
     pairs = [(pair.p, pair.q) for pair in motohashi_pairs(p_max)
              if pair.p * pair.p > pair.p + pair.q]
     primes = primes_below(max((p + q for p, q in pairs), default=0))
@@ -435,21 +388,24 @@ def perimeter_gap_table(p_max: int):
     below = 0                   # primes[:below] are the primes below d
     for i in sorted(range(len(pairs)), key=lambda i: sum(pairs[i])):
         p, q = pairs[i]
-        end = bisect_left(primes, p + q, below)
+        d = p + q
+        end = bisect_left(primes, d, below)
         whole *= prod(primes[below:end])
         below = end
-        wit = _prime_pair_witness(p, q, primes[:below], whole)
-        ratio = wit.ratio
+        n1, n2 = _witness_sides(p, q, primes[:below], whole)
+        n = n1 * n2
+        ln_n = log(n)
+        ratio = d / ln_n
         assert ratio >= 0.9, f"ratio {ratio} below 0.9 at pair ({p},{q})"
         rows[i] = {
             "p": p,
             "q": q,
-            "d": wit.d,
-            "n1": wit.n1,
-            "n2": wit.n2,
-            "n": wit.n,
-            "ln_n": wit.ln_n,
+            "d": d,
+            "n1": n1,
+            "n2": n2,
+            "n": n,
+            "ln_n": ln_n,
             "ratio": ratio,
-            "exp_d_over_n": exp(wit.d) / wit.n if wit.d < 700 else None,
+            "exp_d_over_n": exp(d) / n if d < 700 else None,
         }
     return rows

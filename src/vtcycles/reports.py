@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Sequence
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
@@ -36,7 +35,7 @@ def jsonable(value):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (frozenset, set)):
         return [jsonable(v) for v in sorted(value)]
-    if isinstance(value, (list, tuple, Sequence)):
+    if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if is_dataclass(value):
         return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}

@@ -33,7 +33,7 @@ class SuiteResult:
 
 
 def _result(name, columns, rows):
-    ok = all(row.get("ok", False) for row in rows)
+    ok = bool(rows) and all(row.get("ok", False) for row in rows)
     return SuiteResult(name, tuple(columns), tuple(rows), ok)
 
 

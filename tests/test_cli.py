@@ -346,6 +346,17 @@ def test_verify_divisibility_names_its_order_cap(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("trotter-erdos", "--max-order", "3"), ("divisibility", "--max-order", "2"),
+    ("figure1", "--max-k", "0"), ("toroidal", "--max-n", "0")])
+def test_verify_selecting_no_case_is_not_ok(capsys, argv):
+    assert main(["verify", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1          # the CSV header only
+    assert captured.err == f"verify {argv[0]}: no case selected\n"
+    assert not SUITES[argv[0]](int(argv[2])).ok
+
+
 def test_verify_figure1_names_its_block_cap(capsys):
     # k = 6 has n = 24 > 20 vertices, past uncapped enumeration
     assert main(["verify", "figure1", "--max-k", "8"]) == 0
@@ -387,7 +398,7 @@ def test_search_motohashi_cap(capsys):
 
 def _cli_process(argv, log_level):
     env = {k: v for k, v in os.environ.items() if k != "VTC_LOG"}
-    if log_level:
+    if log_level is not None:
         env["VTC_LOG"] = log_level
     return subprocess.run([sys.executable, "-m", "vtcycles.cli", *argv],
                           capture_output=True, text=True, check=False, env=env)
@@ -410,3 +421,19 @@ def test_vtc_log_names_stages_on_stderr_only(tmp_path):
         assert logged.stdout == quiet.stdout
         assert quiet.stderr == ""
         assert [ln.split(":", 2)[2] for ln in logged.stderr.splitlines()] == lines
+
+
+def test_vtc_log_takes_any_case_and_refuses_unknown_names():
+    argv = ["verify", "figure1", "--max-k", "2"]
+    quiet = _cli_process(argv, None)
+    upper = _cli_process(argv, "INFO")
+    lower = _cli_process(argv, "info")
+    assert (lower.returncode, lower.stdout) == (upper.returncode, upper.stdout)
+    assert lower.stderr.splitlines() == upper.stderr.splitlines() != []
+    empty = _cli_process(argv, "")
+    assert (empty.returncode, empty.stdout, empty.stderr) == (
+        quiet.returncode, quiet.stdout, "")
+    unknown = _cli_process(argv, "verbose")
+    assert unknown.returncode == 2 and unknown.stderr == ""
+    report = json.loads(unknown.stdout)
+    assert report["schema"] == 1 and "VERBOSE" in report["error"]
