@@ -4,27 +4,30 @@ necessity condition for Hamiltonicity of cycle products, prime-partitionable
 that produces witnesses with d close to ln(n1*n2).
 
 All threshold comparisons are exact: the admissibility exponent is encoded
-as the rational 41/25 and tested by big-integer powering.  A float only
-seeds the one bound per p, largest q with q^25 < p^41, that exact powers
-then set right.  ``is_prime`` runs the fewest Miller-Rabin bases proven
-for its n (at most four for every q that ``motohashi_pairs(10**6)``
-tests, all below 1.2e8) and refuses n it cannot decide.
+as the rational 41/25 and tested by big-integer powering; a float only
+bounds the candidates q = 1 (mod p).  ``is_prime`` settles n < 1000^2, and
+n with a prime factor below 1,000, by one gcd, runs the fewest proven
+Miller-Rabin bases on the rest (at most four for every q that
+``motohashi_pairs(10**6)`` tests) and refuses n it cannot decide.
 
 The gcd-split condition and the witness table ask for the first split
 d = d1 + d2 with gcd(n1, d1) = gcd(n2, d2) = 1, and both answer it with one
 sieve (``_first_coprime_split``) instead of two gcds per split.  A split
 shares a factor exactly when a prime below d divides d1 and n1, or d2 and
-n2.  One gcd of each n with the product of the primes below d tells which
-primes divide it; their multiples are marked in one byte mask over
-d1 = 0..d-1 (for n2, the d1 with d - d1 a multiple), and the first
-unmarked d1 >= 1 is the answer.  ``prime_partitionable_check`` instead
-decides from the definition, split by split, so a printed certificate
-comes from code separate from the sieve.  The table takes its witnesses in
-ascending d, with one sieve and one running product of the primes below
-d, divides each n2 out of that product and builds no certificate.
-``perimeter_gap_table(1000)``, whose n2 run to 28k bits, takes 0.049 s
-against 0.117 s with a sieve and a product per witness (medians of five
-processes, 2 vCPUs, Python 3.11.7).
+n2.  One gcd of each n with the product of the primes below d splits
+those primes into the ones that divide n and the rest; the smaller part
+is factored, and a byte mask over 0..d keeps the values coprime to n:
+all but the multiples of the few dividing primes, or only the products
+of the few others.  The first d1 >= 1 kept by the n1 mask, with d - d1
+kept by the n2 mask, is the answer.  ``prime_partitionable_check``
+instead decides from the definition, split by split, so a printed
+certificate comes from code separate from the sieve.  The table takes its
+witnesses in ascending d, with one sieve and one running product of the
+primes below d, divides each n2 out of that product and builds no
+certificate.  ``perimeter_gap_table(1000)``, whose n2 run to 28k bits,
+takes 0.010 s and ``perimeter_gap_table(3000)`` 0.082 s, against 0.056 s
+and 0.48 s with each prime below d tested against the gcd (medians of
+five processes, 2 vCPUs, Python 3.11.7).
 
 The witness search needs neither gcds nor products: within its family,
 which primes divide n1 and n2 is known from the bipartition, so each
@@ -32,7 +35,8 @@ prime marks its splits in two int masks, and a pruned depth-first walk
 over the bipartitions finds the first one, in counter order, whose masks
 cover every split.  ``search_prime_partitionable(40)`` takes 0.004 s
 against 0.40 s for the counter scan with one sieve per bipartition, and
-``motohashi_pairs(10**6)`` 1.2 s against 3.7 s (same setting).
+``motohashi_pairs(10**6)`` 0.94 s against 1.24 s with a 13-prime wheel
+(same setting).
 """
 
 from __future__ import annotations
@@ -68,20 +72,25 @@ _MR_TIERS = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
              (3825123056546413051, 9), (318665857834031151167461, 12),
              (3317044064679887385961981, 13))
 IS_PRIME_MAX = _MR_TIERS[-1][0]   # first n the 13 bases cannot decide
-_BASE_SET = frozenset(_MR_BASES)
-_BASE_PRODUCT = prod(_MR_BASES)
+_WHEEL = primes_below(1000)
+_WHEEL_SET = frozenset(_WHEEL)
+_WHEEL_PRODUCT = prod(_WHEEL)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < IS_PRIME_MAX (about 3.3e24),
-    with the fewest bases proven enough for n: three below 25,326,001,
-    four below 3,215,031,751.  Larger n raise ``ValueError``."""
+    """Deterministic primality for n < IS_PRIME_MAX (about 3.3e24).  A gcd
+    with the primes below 1,000 settles n < 1000^2 and every n with such a
+    factor; the rest run Miller-Rabin with the fewest bases proven enough:
+    three below 25,326,001, four below 3,215,031,751.  Larger n raise
+    ``ValueError``."""
     if n < 2:
         return False
     if n >= IS_PRIME_MAX:
         raise ValueError(f"is_prime decides n < {IS_PRIME_MAX} only")
-    if gcd(n, _BASE_PRODUCT) > 1:
-        return n in _BASE_SET
+    if gcd(n, _WHEEL_PRODUCT) > 1:
+        return n in _WHEEL_SET
+    if n < 1000 ** 2:   # a composite n has a prime factor <= sqrt(n)
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -138,23 +147,48 @@ def _first_coprime_split(d: int, n1: int, n2: int, primes, whole: int):
     d, the only ones that can divide some d1 or d2, and ``whole`` is their
     product.
 
-    For P = ``whole``, g = gcd(n, P) is the product of those that divide
-    n and P // g of the rest; each prime is tested against the smaller of
-    the two, so a huge n costs one gcd, not one remainder per prime."""
-    shares = bytearray(d)   # shares[d1] = 1: d1 or d - d1 has a common prime
-    ones = b"\x01" * d
-    for n, offset in ((n1, 0), (n2, d)):
+    For P = ``whole``, g = gcd(n, P) is the product of the primes that
+    divide n and P // g of the rest; only the smaller is factored, and the
+    side's byte mask over 0..d marks the values coprime to n.  The n2
+    mask, indexed by d2 = d - d1, is reversed and AND-ed with the n1 mask."""
+    masks = []
+    for n in (n1, n2):
         g = gcd(n, whole)
         rest = whole // g
         if g <= rest:
-            dividing = [p for p in primes if g % p == 0]
+            mask = bytearray(b"\x01") * (d + 1)
+            for p in _factor_squarefree(g, primes):
+                mask[::p] = bytes(d // p + 1)
         else:
-            dividing = [p for p in primes if rest % p]
-        for p in dividing:
-            start = offset % p
-            shares[start::p] = ones[start::p]
-    d1 = shares.find(0, 1)
+            coprime = [1]   # the products of the others below d
+            for p in _factor_squarefree(rest, primes):
+                for v in coprime[:]:
+                    while v * p < d:
+                        v *= p
+                        coprime.append(v)
+            mask = bytearray(d + 1)
+            for v in coprime:
+                mask[v] = 1
+        masks.append(mask)
+    # read big-endian, the n2 mask's byte d1 is its entry d - d1
+    both = int.from_bytes(masks[0], "little") & int.from_bytes(masks[1], "big")
+    d1 = both.to_bytes(d + 1, "little").find(1, 1, d)
     return None if d1 < 0 else d1
+
+
+def _factor_squarefree(m: int, primes) -> list:
+    """The primes of a squarefree m, all in the ascending ``primes``, by
+    trial division up to the square root of the cofactor left."""
+    factors = []
+    for p in primes:
+        if p * p > m:
+            break
+        if m % p == 0:
+            factors.append(p)
+            m //= p
+    if m > 1:
+        factors.append(m)
+    return factors
 
 
 def trotter_erdos_necessary(n1: int, n2: int):
@@ -288,32 +322,22 @@ class MotohashiPair:
 
 
 def motohashi_pairs(p_max: int):
-    """For each prime p <= p_max, the smallest prime q = 1 (mod p) inside
-    the admissibility bound, when one exists.  The bound is found once per
-    p (``_admissible_bound``); for odd p the candidates step by 2p, since
-    1 + kp is even for odd k."""
+    """For each prime p <= p_max, the smallest prime q = 1 (mod p), kept
+    when q^25 < p^41 holds exactly.  The candidates ascend to the float
+    estimate p^(41/25) plus one, which no admissible q exceeds; for odd p
+    they step by 2p, since 1 + kp is even for odd k."""
     if p_max > 10 ** 6:
         raise ValueError("p_max capped at 10^6")
     pairs = []
     for p in primes_below(p_max + 1):
         step = p if p == 2 else 2 * p
-        for q in range(1 + step, _admissible_bound(p) + 1, step):
+        stop = int(p ** (THETA_NUM / THETA_DEN)) + 2
+        for q in range(1 + step, stop, step):
             if is_prime(q):
-                pairs.append(MotohashiPair(p, q, True))
+                if q ** THETA_DEN < p ** THETA_NUM:
+                    pairs.append(MotohashiPair(p, q, True))
                 break
     return pairs
-
-
-def _admissible_bound(p: int) -> int:
-    """The largest q with q^25 < p^41: a float estimate of p^(41/25), set
-    right by exact integer powers."""
-    limit = p ** THETA_NUM
-    q = int(p ** (THETA_NUM / THETA_DEN))
-    while q ** THETA_DEN >= limit:
-        q -= 1
-    while (q + 1) ** THETA_DEN < limit:
-        q += 1
-    return q
 
 
 @dataclass(frozen=True)

@@ -306,7 +306,8 @@ def _induced_closures(G: Graph, min_len: int, spent: Budget):
     root that are off the path and not adjacent to its interior: ``ext``
     (not adjacent to root; the path may grow through them) and ``close``
     (adjacent to root).  Before descending into extension w the walk yields
-    the closers below w; a finished frame yields the rest.  One node of
+    the closers below w; a finished frame yields the rest.  A start with no
+    extension yields its closers without a frame.  One node of
     ``spent`` is charged per path start and per extension, and the walk
     ends at the first refused node, after the closers below it.
     """
@@ -321,6 +322,11 @@ def _induced_closures(G: Graph, min_len: int, spent: Budget):
             if not spent.spend():
                 return
             closing = root_adj & (-1 << wb.bit_length())  # above path[1]
+            cand = adj_masks[wb.bit_length() - 1] & above & ~wb
+            if not cand & ~root_adj:    # a dead start: only triangles close
+                if min_len <= 3 and cand & closing:
+                    yield [root, wb.bit_length() - 1], cand & closing
+                continue
             path = [root]
             frames = []  # frames[i] extends path[i + 1]
             visited, blocked = 1 << root, 0

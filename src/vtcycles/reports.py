@@ -76,7 +76,9 @@ def write_csv(rows, columns) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_csv_cell(row.get(c)) for c in columns])
+        # ints and strs pass as they are; a bool's type is not int
+        writer.writerow([v if type(v) is int or type(v) is str
+                         else _csv_cell(v) for v in map(row.get, columns)])
     return buf.getvalue()
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import eq
 
 from .digraph import Digraph, UNKNOWN
 from .gadgets import (directed_cycle_product, four_cycle_chain,
@@ -66,17 +67,12 @@ def suite_trotter_erdos(max_order: int = 24) -> SuiteResult:
                                      "condition", "split", "ok"), rows)
 
 
-def _arc_type_counts(n1: int, n2: int, cycle) -> tuple:
-    """How many arcs of a product cycle move each coordinate."""
-    t1 = t2 = 0
+def _arc_type_counts(succ1, cycle) -> tuple:
+    """How many arcs of a product cycle move each coordinate: ``succ1[u]``
+    is u's (1,0)-successor, never its (0,1)-successor when n1, n2 >= 2."""
     verts = cycle.vertices
-    for u, v in zip(verts, verts[1:] + verts[:1]):
-        a, b = divmod(u, n2)
-        if v == ((a + 1) % n1) * n2 + b:
-            t1 += 1
-        else:
-            t2 += 1
-    return t1, t2
+    t1 = sum(map(eq, map(succ1.__getitem__, verts), verts[1:] + verts[:1]))
+    return t1, len(verts) - t1
 
 
 def suite_divisibility(max_order: int = 20) -> SuiteResult:
@@ -89,9 +85,10 @@ def suite_divisibility(max_order: int = 20) -> SuiteResult:
         cycles = complete_directed_cycles(D)
         assert cycles is not None
         d = gcd(n1, n2)
+        succ1 = [(u + n2) % D.n for u in range(D.n)]   # (a, b) is a*n2 + b
         lengths_ok = True
         for c in cycles:
-            t1, t2 = _arc_type_counts(n1, n2, c)
+            t1, t2 = _arc_type_counts(succ1, c)
             if t1 % n1 or t2 % n2 or c.length % d:
                 lengths_ok = False
         circumference = max(c.length for c in cycles)

@@ -292,8 +292,11 @@ def test_necessity_condition_matches_per_split_definition(n1, n2):
     assert trotter_erdos_necessary(n1, n2) == expected
 
 
-# Windows around the bounds where is_prime switches to more bases.
-_TIER_EDGES = [psi for psi, _ in numbergap._MR_TIERS if psi < 10 ** 8]
+# Windows around the bounds where is_prime changes method: 1000^2, past
+# which passing the wheel no longer proves a prime, and the bounds where
+# Miller-Rabin switches to more bases.
+_TIER_EDGES = [1000 ** 2] + [psi for psi, _ in numbergap._MR_TIERS
+                             if psi < 10 ** 8]
 
 
 @settings(max_examples=600, deadline=None)
@@ -303,6 +306,39 @@ _TIER_EDGES = [psi for psi, _ in numbergap._MR_TIERS if psi < 10 ** 8]
               st.integers(-2000, 2000))))
 def test_is_prime_fast_path_matches_trial_division(n):
     assert is_prime(n) == trial_division_prime(n)
+
+
+def test_is_prime_on_the_wheel_primes_and_their_products():
+    wheel = [p for p in range(1000) if trial_division_prime(p)]
+    assert [n for n in range(1000) if is_prime(n)] == wheel
+    assert not any(is_prime(p * q) for i, p in enumerate(wheel)
+                   for q in wheel[i:])
+
+
+@st.composite
+def coprime_split_cases(draw):
+    """d in 2..300 with each n_i = d * P / Q_i or d * Q_i, P the product of
+    the primes below d and Q_i a few of them, so that either side may leave
+    few primes dividing it or few not dividing it."""
+    d = draw(st.integers(2, 300))
+    ps = primes_below(d)
+    whole = math.prod(ps)
+
+    def side():
+        picked = draw(st.lists(st.sampled_from(ps), max_size=4)) if ps else []
+        few = math.prod(set(picked))
+        return d * (whole // few if draw(st.booleans()) else few)
+
+    return d, side(), side(), ps, whole
+
+
+@settings(max_examples=500, deadline=None)
+@given(coprime_split_cases())
+def test_first_coprime_split_matches_per_split_definition(case):
+    d, n1, n2, ps, whole = case
+    expected = next((d1 for d1 in range(1, d) if euclid_gcd(n1, d1) == 1
+                     and euclid_gcd(n2, d - d1) == 1), None)
+    assert numbergap._first_coprime_split(d, n1, n2, ps, whole) == expected
 
 
 def first_counter_without_coprime_split(d):

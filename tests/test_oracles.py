@@ -6,12 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vtcycles.cyclegraph import build_cycle_graph, complete_directed_cycles
-from vtcycles.digraph import Digraph, Graph, UNKNOWN
+from vtcycles.digraph import Budget, Digraph, Graph, UNKNOWN
 from vtcycles.gadgets import (complete_bidirected, cycle_digraph,
                               directed_cycle_product, four_cycle_chain,
                               toroidal_gadget)
 from vtcycles.oracles import (ALT_CYCLES_MAX, _hamiltonian_dp,
-                              alternating_hamiltonian, brute_hamiltonian,
+                              _induced_closures, alternating_hamiltonian,
+                              brute_hamiltonian,
                               brute_longest_cycle, brute_longest_induced_cycle,
                               brute_longest_path, find_path_of_length,
                               induced_cycles, longest_cycles_pairwise_intersect,
@@ -493,3 +494,70 @@ def test_longest_induced_cycle_matches_recorded_results(host, budget, best,
                                                         exact, expansions):
     res = brute_longest_induced_cycle(_induced_host(host), budget)
     assert (res.best, res.exact, res.expansions) == (best, exact, expansions)
+
+
+def _reference_closures(G, min_len, spent):
+    """The induced-cycle walk as it was before dead starts were handled
+    inline: every start builds its path and opens a frame."""
+    adj_masks = G.masks
+    for root in range(G.n):
+        above = -1 << (root + 1)
+        root_adj = adj_masks[root]
+        starts = root_adj & above
+        while starts:
+            wb = starts & -starts
+            starts ^= wb
+            if not spent.spend():
+                return
+            closing = root_adj & (-1 << wb.bit_length())
+            path = [root]
+            frames = []
+            visited, blocked = 1 << root, 0
+            while wb:
+                path.append(wb.bit_length() - 1)
+                visited |= wb
+                cand = adj_masks[path[-1]] & above & ~visited & ~blocked
+                close = cand & closing if len(path) >= min_len - 1 else 0
+                frames.append([cand & ~root_adj, close, visited, blocked])
+                wb = 0
+                while frames and not wb:
+                    frame = frames[-1]
+                    ext, close = frame[0], frame[1]
+                    if ext:
+                        wb = ext & -ext
+                        below = close & (wb - 1)
+                        if below:
+                            yield path, below
+                        frame[0], frame[1] = ext ^ wb, close ^ below
+                    else:
+                        if close:
+                            yield path, close
+                        frames.pop()
+                        path.pop()
+                if wb:
+                    if not spent.spend():
+                        return
+                    visited = frame[2]
+                    blocked = frame[3] | (adj_masks[path[-1]] & ~wb)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if not pairs:
+        return Graph(n, [])
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.integers(3, 5), st.sampled_from((5, 40, 10 ** 6)))
+def test_induced_walk_matches_the_walk_with_a_frame_per_start(G, min_len,
+                                                              budget):
+    walks = []
+    for walk in (_induced_closures, _reference_closures):
+        spent = Budget(budget)
+        yields = [(tuple(path), closers)
+                  for path, closers in walk(G, min_len, spent)]
+        walks.append((yields, spent.used))
+    assert walks[0] == walks[1]
