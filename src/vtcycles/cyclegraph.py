@@ -3,10 +3,11 @@ enumerate directed cycles, build their intersection graph, lift automorphism
 families onto it, extract a long induced cycle, and stitch it back into a
 long directed cycle of the host.
 
-Cycle enumeration is exponential in general, so its one entry point,
+Cycle enumeration is exponential in general, so its one full entry point,
 ``complete_directed_cycles``, carries a count cap: past the cap it returns
 None and builds no cycle, and every conclusion that needs the complete
-cycle set is withheld.
+cycle set is withheld.  On a host certified vertex-transitive,
+``_cycles_through_0`` walks only the cycles through vertex 0.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def _log_enumeration(stage: str, cycles, max_count) -> None:
         log.info("%s: %d cycles, complete", stage, len(cycles))
 
 
-def _johnson(D: Digraph):
+def _johnson(D: Digraph, stop=None):
     """Johnson's circuit enumeration (SIAM J. Comput. 1975) with an explicit
     stack: ``it`` iterates the out-neighbors of the deepest path vertex and
     ``frames`` holds the suspended iterators of the vertices above it.
@@ -97,13 +98,16 @@ def _johnson(D: Digraph):
     that reach it, one backward reach set: its walk, kept inside them,
     visits exactly root's strong component.  Only a blocked neighbor is
     compared with the (blocked) root, a B-list holds each in-neighbor at
-    most once, and an empty one starts no unblock cascade."""
+    most once, and an empty one starts no unblock cascade.  Only roots
+    below ``stop`` are walked: ``stop=1`` yields the cycles through 0, and
+    on a vertex-transitive host a length L then has n*c0(L)/L cycles, c0(L)
+    through 0, as both sides count the (cycle, vertex) pairs."""
     n = D.n
     reach_back = reacher(D.inn)
     adj = [()] * n
     blocked = [False] * n
     blist = [[] for _ in range(n)]
-    for root in range(n):
+    for root in range(n if stop is None else stop):
         back = reach_back(root, -1 << root)
         for v in iter_bits(back):
             adj[v] = tuple(w for w in D.out[v] if back >> w & 1)
@@ -161,6 +165,16 @@ def _johnson(D: Digraph):
                         waiting = blist[w]
                         if v not in waiting:
                             waiting.append(v)
+
+
+def _cycles_through_0(D: Digraph, family: AutomorphismFamily) -> list:
+    """The cycles through 0 of a host on at most 20 vertices that ``family``
+    certifies vertex-transitive, as vertex tuples from 0 in walk order;
+    ``ValueError`` otherwise."""
+    Budget.over(D.n)
+    if not family.certifies(D):
+        raise ValueError("family does not certify the host vertex-transitive")
+    return [tuple(path) for _, path in _johnson(D, 1)]
 
 
 # --- the intersection graph -------------------------------------------------

@@ -65,9 +65,9 @@ def primes_below(x: int) -> list:
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # (psi_k, k): the first k bases of _MR_BASES decide every n < psi_k, the
 # smallest odd composite that passes all k (OEIS A014233; Jaeschke 1993,
-# Sorenson and Webster 2017).  psi_8 = psi_7 and psi_10 = psi_11 = psi_9,
-# so those tiers are left out.
-_MR_TIERS = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+# Sorenson and Webster 2017).  Left out: psi_1 = 2047, below the 1000^2 that
+# is_prime's wheel settles, and psi_8 = psi_7, psi_10 = psi_11 = psi_9.
+_MR_TIERS = ((1373653, 2), (25326001, 3), (3215031751, 4),
              (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
              (3825123056546413051, 9), (318665857834031151167461, 12),
              (3317044064679887385961981, 13))
@@ -81,7 +81,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality for n < IS_PRIME_MAX (about 3.3e24).  A gcd
     with the primes below 1,000 settles n < 1000^2 and every n with such a
     factor; the rest run Miller-Rabin with the fewest bases proven enough:
-    three below 25,326,001, four below 3,215,031,751.  Larger n raise
+    two below 1,373,653, three below 25,326,001.  Larger n raise
     ``ValueError``."""
     if n < 2:
         return False

@@ -1,20 +1,28 @@
-"""``complete_directed_cycles``, the package's one cycle enumeration,
+"""``complete_directed_cycles``, the package's one full cycle enumeration,
 against the plain rooted DFS listing, the callers that need every cycle,
-and their ``VTC_LOG`` lines."""
+and their ``VTC_LOG`` lines; and the walk of the cycles through vertex 0
+of a certified vertex-transitive host against it."""
 
 import hashlib
 import logging
 import random
+from collections import Counter
+from fractions import Fraction
 from itertools import islice
+from math import gcd
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vtcycles import cyclegraph
-from vtcycles.cyclegraph import (complete_directed_cycles,
+from vtcycles.cyclegraph import (_cycles_through_0, complete_directed_cycles,
                                  cycle_graph_diameter_check, pipeline_n13)
 from vtcycles.digraph import Digraph
-from vtcycles.gadgets import cycle_digraph, directed_cycle_product
+from vtcycles.gadgets import (cycle_digraph, directed_cycle_product,
+                              four_cycle_chain, product_cayley_spec)
+from vtcycles.groups import (CayleySpec, cayley_digraph, cyclic_group,
+                             dihedral_group, left_translations)
 from vtcycles.verify import product_pairs, stitch_hosts
 
 from _independent import dfs_cycles_in_order
@@ -147,3 +155,61 @@ def test_cycle_graph_check_logs_whether_its_enumeration_completed(caplog):
         assert report == {"complete": False, "verdict": "UNKNOWN"}
         assert caplog.messages == [
             "cycle_graph_diameter_check: more than 1 cycles; none built"]
+
+
+@st.composite
+def certified_cayley_specs(draw, max_n=16):
+    """A Cayley spec on at most max_n elements: a cyclic group with one to
+    three generators, a product of two cycles, or a dihedral group with two
+    generators."""
+    kind = draw(st.sampled_from(("cyclic", "product", "dihedral")))
+    if kind == "product":
+        n1 = draw(st.integers(2, max_n // 2))
+        return product_cayley_spec(n1, draw(st.integers(2, max_n // n1)))
+    if kind == "cyclic":
+        n = draw(st.integers(2, max_n))
+        gens = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=3,
+                             unique=True))
+        assume(gcd(n, *gens) == 1)
+        return CayleySpec(cyclic_group(n), tuple(gens))
+    m = draw(st.integers(2, max_n // 2))
+    gens = draw(st.lists(st.integers(1, 2 * m - 1), min_size=2, max_size=2,
+                         unique=True))
+    try:
+        return CayleySpec(dihedral_group(m), tuple(gens))
+    except ValueError:   # the two do not generate D_m
+        assume(False)
+
+
+@settings(max_examples=120, deadline=None)
+@given(certified_cayley_specs())
+def test_cycles_through_0_give_the_circumference_and_every_count(spec):
+    D = cayley_digraph(spec)
+    through0 = _cycles_through_0(D, left_translations(spec))
+    cycles = complete_directed_cycles(D)
+    # canonical rotations start at their least vertex
+    assert through0 == [c.vertices for c in cycles if c.vertices[0] == 0]
+    at0 = Counter(map(len, through0))
+    full = Counter(c.length for c in cycles)
+    assert max(at0) == max(full)
+    assert {L: Fraction(D.n * c0, L) for L, c0 in at0.items()} == full
+
+
+def test_cycles_through_0_refuse_a_family_that_does_not_certify_the_host():
+    D = four_cycle_chain(3)    # 12 vertices, not vertex-transitive
+    rotations = left_translations(CayleySpec(cyclic_group(12), (1,)))
+    assert not rotations.certifies(D)
+    # here the root-0 census would read 20 cycles against the true 19
+    at0 = Counter(len(path) for _, path in cyclegraph._johnson(D, 1))
+    assert sum(Fraction(D.n * c0, L) for L, c0 in at0.items()) == 20
+    assert len(complete_directed_cycles(D)) == 19
+    with pytest.raises(ValueError, match="certify"):
+        _cycles_through_0(D, rotations)
+
+
+def test_cycles_through_0_keep_the_exact_cap_on_certified_hosts():
+    spec = product_cayley_spec(3, 7)    # 21 vertices
+    D = cayley_digraph(spec)
+    assert left_translations(spec).certifies(D)
+    with pytest.raises(ValueError, match="n=21"):
+        _cycles_through_0(D, left_translations(spec))

@@ -55,6 +55,40 @@ def test_is_prime_rejects_each_tiers_first_strong_pseudoprime():
         assert not is_prime(n), (k, n)
 
 
+def _strong_probable_prime(n, a):
+    """n odd passes the strong Fermat test to base a."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+# Composites with no prime factor below 1,000, which the wheel passes, so
+# only Miller-Rabin can reject them: n, its factors, and the first base
+# that rejects it; every smaller prime base passes it.  Each lies in the
+# tier that runs exactly up to that base.
+MILLER_RABIN_ONLY = {
+    1194649: ((1093, 1093), 3),          # tier below 1,373,653: 2 bases
+    2284453: ((1069, 2137), 5),          # tier below 25,326,001: 3 bases
+}
+
+
+def test_is_prime_rejects_composites_only_miller_rabin_sees():
+    for n, (factors, base) in MILLER_RABIN_ONLY.items():
+        assert math.prod(factors) == n and min(factors) > 1000
+        assert all(_strong_probable_prime(n, a)
+                   for a in (2, 3, 5, 7) if a < base), n
+        assert not _strong_probable_prime(n, base), n
+        assert not is_prime(n), n
+
+
 def test_is_prime_refuses_n_past_its_proven_bases():
     # 1287836182261 * 2575672364521: a strong pseudoprime to bases 2..41
     psi13 = 3317044064679887385961981
