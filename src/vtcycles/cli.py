@@ -26,7 +26,7 @@ from .longcycle import (dfs_long_cycle, expansion_check_transitive_bound,
                         EXPANSION_EXACT_MAX)
 from .cyclegraph import (DEFAULT_MAX_COUNT, cycle_graph_diameter_check,
                          pipeline_n13)
-from .numbergap import (motohashi_pairs, perimeter_gap_table,
+from .numbergap import (_decimal_rows, motohashi_pairs, perimeter_gap_table,
                         search_prime_partitionable)
 from .reports import all_assertions_hold, dump, make_report, write_csv
 from . import verify as V
@@ -285,12 +285,14 @@ def cmd_search(args) -> int:
     rows = perimeter_gap_table(args.max_p)
     # From p = 457 on, n has more digits than the interpreter converts to
     # text by default (4300).  The guard is against hostile input; these
-    # integers are computed here, so it is lifted while they are written.
+    # integers are computed here, so it is lifted while JSON writes them.
+    # The CSV takes n2 and n as text from exact Decimal arithmetic.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         _emit(args, {"schema": 1, "search": args.kind, "rows": rows},
-              (rows, ("p", "q", "d", "n1", "n2", "n", "ln_n", "ratio")))
+              (_decimal_rows(rows),
+               ("p", "q", "d", "n1", "n2", "n", "ln_n", "ratio")))
     finally:
         sys.set_int_max_str_digits(limit)
     return 0

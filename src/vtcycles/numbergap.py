@@ -4,11 +4,15 @@ necessity condition for Hamiltonicity of cycle products, prime-partitionable
 that produces witnesses with d close to ln(n1*n2).
 
 All threshold comparisons are exact: the admissibility exponent is encoded
-as the rational 41/25 and tested by big-integer powering; a float only
-bounds the candidates q = 1 (mod p).  ``is_prime`` settles n < 1000^2, and
-n with a prime factor below 1,000, by one gcd, runs the fewest proven
+as the rational 41/25 and tested in integers, by bit lengths where they
+decide and by big-integer powering otherwise; a float only bounds the
+candidates q = 1 (mod p).  ``motohashi_pairs`` reads the first 16
+candidates 1 + 2jp of every odd p from one odd-only sieve, one strided
+slice per p; only a p with no prime among them (7,237 of the 78,498 up to
+10^6) goes on with ``is_prime``.  ``is_prime`` settles n < 1000^2, and n
+with a prime factor below 1,000, by one gcd, runs the fewest proven
 Miller-Rabin bases on the rest (at most four for every q that
-``motohashi_pairs(10**6)`` tests) and refuses n it cannot decide.
+``motohashi_pairs(10**6)`` hands it) and refuses n it cannot decide.
 
 The gcd-split condition and the witness table ask for the first split
 d = d1 + d2 with gcd(n1, d1) = gcd(n2, d2) = 1, and both answer it with one
@@ -27,7 +31,10 @@ primes below d, divides each n2 out of that product and builds no
 certificate.  ``perimeter_gap_table(1000)``, whose n2 run to 28k bits,
 takes 0.010 s and ``perimeter_gap_table(3000)`` 0.082 s, against 0.056 s
 and 0.48 s with each prime below d tested against the gcd (medians of
-five processes, 2 vCPUs, Python 3.11.7).
+five processes, 2 vCPUs, Python 3.11.7).  CPython turns a large int into
+decimal text in quadratic time, so the CSV reads n2 and n from a
+``Decimal`` copy of that product (``_decimal_rows``): ``vtc search
+theorem11 --max-p 3000`` takes 0.40 s, against 1.77 s through ``str()``.
 
 The witness search needs neither gcds nor products: within its family,
 which primes divide n1 and n2 is known from the bipartition, so each
@@ -35,14 +42,17 @@ prime marks its splits in two int masks, and a pruned depth-first walk
 over the bipartitions finds the first one, in counter order, whose masks
 cover every split.  ``search_prime_partitionable(40)`` takes 0.004 s
 against 0.40 s for the counter scan with one sieve per bipartition, and
-``motohashi_pairs(10**6)`` 0.94 s against 1.24 s with a 13-prime wheel
-(same setting).
+``motohashi_pairs(10**6)`` 0.58 s, with 53,374 ``is_prime`` calls,
+against 1.48 s and 588,933 calls with ``is_prime`` on every candidate
+(medians of five processes, 2 vCPUs, Python 3.11.7).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from decimal import (MAX_EMAX, Context, Decimal, Inexact, InvalidOperation,
+                     Overflow, Rounded)
 from itertools import compress
 from math import exp, gcd, isqrt, log, prod
 
@@ -321,23 +331,60 @@ class MotohashiPair:
     bound_ok: bool
 
 
+# Candidates per odd p read from the sieve.  16 settle all but 7,237 of the
+# 78,498 primes up to 10^6 in a sieve of 16 * p_max + 1 bytes;
+# motohashi_pairs(10**6) takes 1.6 times as long with 8, 1.2 times with 32.
+_WINDOW = 16
+
+
 def motohashi_pairs(p_max: int):
     """For each prime p <= p_max, the smallest prime q = 1 (mod p), kept
     when q^25 < p^41 holds exactly.  The candidates ascend to the float
     estimate p^(41/25) plus one, which no admissible q exceeds; for odd p
-    they step by 2p, since 1 + kp is even for odd k."""
+    they step by 2p, since 1 + kp is even for odd k.  The first
+    ``_WINDOW`` of them are one strided slice of an odd-only sieve, where
+    1 + j*step is entry j*step/2; ``is_prime`` tests the ones after."""
     if p_max > 10 ** 6:
         raise ValueError("p_max capped at 10^6")
+    odd = _odd_sieve(_WINDOW * max(p_max, 0) + 1)
     pairs = []
     for p in primes_below(p_max + 1):
         step = p if p == 2 else 2 * p
         stop = int(p ** (THETA_NUM / THETA_DEN)) + 2
-        for q in range(1 + step, stop, step):
-            if is_prime(q):
-                if q ** THETA_DEN < p ** THETA_NUM:
-                    pairs.append(MotohashiPair(p, q, True))
-                break
+        half = step // 2    # entry i is 2i + 1, below stop iff i < stop // 2
+        window = odd[half:min(_WINDOW * half + 1, stop // 2):half]
+        j = window.find(1) + 1
+        if j:
+            q = 1 + j * step
+        else:
+            rest = range(1 + (len(window) + 1) * step, stop, step)
+            q = next(filter(is_prime, rest), None)
+            if q is None:
+                continue
+        if _admissible(p, q):
+            pairs.append(MotohashiPair(p, q, True))
     return pairs
+
+
+def _odd_sieve(size: int) -> bytearray:
+    """Entry i is 1 iff 2i + 1 is prime, for i < size."""
+    sieve = bytearray([1]) * size
+    sieve[:1] = b"\x00"
+    for i in range(1, (isqrt(2 * size - 1) - 1) // 2 + 1):
+        if sieve[i]:
+            p = 2 * i + 1
+            sieve[p * p // 2::p] = bytes(len(range(p * p // 2, size, p)))
+    return sieve
+
+
+def _admissible(p: int, q: int) -> bool:
+    """q^25 < p^41 for q = 1 + kp, exactly.  With j the bit length of k,
+    q < 2^j * p, and p^16 >= 2^(16(b-1)) for b the bit length of p; so
+    25j <= 16(b-1) already gives q^25 < 2^(25j) p^25 <= p^41, without the
+    big powers."""
+    j = ((q - 1) // p).bit_length()
+    return (THETA_DEN * j <= (THETA_NUM - THETA_DEN) * (p.bit_length() - 1)
+            or q ** THETA_DEN < p ** THETA_NUM)
 
 
 @dataclass(frozen=True)
@@ -433,3 +480,29 @@ def perimeter_gap_table(p_max: int):
             "exp_d_over_n": exp(d) / n if d < 700 else None,
         }
     return rows
+
+
+def _decimal_rows(rows):
+    """The rows of ``perimeter_gap_table`` with n2 and n as decimal text,
+    from the running product of the primes below d kept as a ``Decimal``:
+    n2 = d * (product / (p*q)) and n = n1 * n2.  Its context holds the
+    digits of the largest n and traps ``Inexact`` and ``Rounded``, so a
+    division that is not exact raises (at ``MAX_PREC`` libmpdec would
+    raise ``MemoryError`` instead)."""
+    # log10(2) < 0.30103, so n has at most bits * 0.30103 + 1 digits
+    digits = max((row["n"].bit_length() * 30103 // 100000 + 1
+                  for row in rows), default=1)
+    ctx = Context(prec=digits, Emax=MAX_EMAX,
+                  traps=[Inexact, Rounded, InvalidOperation, Overflow])
+    primes = primes_below(max((row["d"] for row in rows), default=0))
+    text = [None] * len(rows)
+    whole = Decimal(1)
+    below = 0
+    for i in sorted(range(len(rows)), key=lambda i: rows[i]["d"]):
+        row = rows[i]
+        end = bisect_left(primes, row["d"], below)
+        whole = ctx.multiply(whole, prod(primes[below:end]))
+        below = end
+        n2 = ctx.multiply(row["d"], ctx.divide(whole, row["p"] * row["q"]))
+        text[i] = {**row, "n2": str(n2), "n": str(ctx.multiply(row["n1"], n2))}
+    yield from text

@@ -18,8 +18,8 @@ from .digraph import Digraph, UNKNOWN
 from .gadgets import (directed_cycle_product, four_cycle_chain,
                       is_strongly_k_connected, product_cayley_spec,
                       toroidal_gadget, toroidal_translations)
-from .groups import (CayleySpec, cayley_digraph, cyclic_group,
-                     dihedral_group, left_translations)
+from .groups import (AutomorphismFamily, CayleySpec, cayley_digraph,
+                     cyclic_group, dihedral_group, direct_product)
 from .longcycle import dfs_long_cycle, expansion_exact, long_path
 from .numbergap import divisibility_gap_bound, trotter_erdos_necessary
 from .oracles import (alternating_hamiltonian, induced_cycles,
@@ -83,15 +83,19 @@ def suite_divisibility(max_order: int = 20) -> SuiteResult:
     exact perimeter gap meets the bound whenever the bound is claimed.
 
     Only the cycles through 0 are walked, on the product certified by the
-    left translations of Z_n1 x Z_n2.  Every cycle is a translate g*C of
-    one of them with the same arc types, as g maps arc x -> x*s to
-    gx -> gx*s.  A length L has n*c0(L)/L cycles, c0(L) through 0, as
+    left translations of Z_n1 x Z_n2, whose generator rows
+    ``_cycles_through_0`` checks against its arcs.  Every cycle is a
+    translate g*C of one of them with the same arc types, as g maps arc
+    x -> x*s to gx -> gx*s.  A length L has n*c0(L)/L cycles, c0(L) through 0, as
     each is counted once at each of its L vertices."""
     rows = []
     for n1, n2 in product_pairs(max_order):
         D = directed_cycle_product(n1, n2)
-        through0 = _cycles_through_0(
-            D, left_translations(product_cayley_spec(n1, n2)))
+        # the translations by (1,0) and (0,1)
+        g = direct_product(cyclic_group(n1), cyclic_group(n2))
+        family = AutomorphismFamily(D.n, generators=(g.row(n2), g.row(1)),
+                                    group=g)
+        through0 = _cycles_through_0(D, family)
         d = gcd(n1, n2)
         succ1 = [(u + n2) % D.n for u in range(D.n)]   # (a, b) is a*n2 + b
         lengths_ok = True

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vtcycles import cyclegraph
+from vtcycles import cyclegraph, groups
 from vtcycles.cyclegraph import (_cycles_through_0, complete_directed_cycles,
                                  cycle_graph_diameter_check, pipeline_n13)
 from vtcycles.digraph import Digraph
@@ -23,7 +23,7 @@ from vtcycles.gadgets import (cycle_digraph, directed_cycle_product,
                               four_cycle_chain, product_cayley_spec)
 from vtcycles.groups import (CayleySpec, cayley_digraph, cyclic_group,
                              dihedral_group, left_translations)
-from vtcycles.verify import product_pairs, stitch_hosts
+from vtcycles.verify import product_pairs, stitch_hosts, suite_divisibility
 
 from _independent import dfs_cycles_in_order
 
@@ -213,3 +213,17 @@ def test_cycles_through_0_keep_the_exact_cap_on_certified_hosts():
     assert left_translations(spec).certifies(D)
     with pytest.raises(ValueError, match="n=21"):
         _cycles_through_0(D, left_translations(spec))
+
+
+def test_divisibility_certifies_each_product_once(monkeypatch):
+    # one arc check per product, on the digraph the walk runs on
+    hosts = []
+    check_arcs = groups._check_arcs
+
+    def counting(D, maps):
+        hosts.append(D.n)
+        check_arcs(D, maps)
+
+    monkeypatch.setattr(groups, "_check_arcs", counting)
+    assert suite_divisibility(12).ok
+    assert hosts == [n1 * n2 for n1, n2 in product_pairs(12)]

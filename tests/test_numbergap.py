@@ -1,8 +1,10 @@
+import decimal
 import hashlib
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vtcycles import numbergap
@@ -260,6 +262,40 @@ def test_motohashi_pairs_match_an_independent_scan():
     assert motohashi_pairs(3000) == expected
 
 
+def test_motohashi_pairs_match_the_per_candidate_scan():
+    # the scan the sieve replaced: is_prime on each candidate in turn
+    expected = []
+    for p in primes_below(10 ** 5 + 1):
+        step = p if p == 2 else 2 * p
+        stop = int(p ** (41 / 25)) + 2
+        for q in range(1 + step, stop, step):
+            if is_prime(q):
+                if q ** 25 < p ** 41:
+                    expected.append(MotohashiPair(p, q, True))
+                break
+    assert motohashi_pairs(10 ** 5) == expected
+    assert motohashi_pairs(1) == motohashi_pairs(-5) == []
+
+
+@st.composite
+def candidates(draw):
+    """(p, 1 + kp), k drawn by its bit length j: any j up to p's, or one
+    next to 16/25 of p's, where q < p^(41/25) turns false."""
+    p = draw(st.integers(2, 10 ** 7))
+    edge = 16 * p.bit_length() // 25
+    j = draw(st.integers(1, p.bit_length())
+             | st.integers(max(1, edge - 1), edge + 1))
+    return p, 1 + draw(st.integers(1 << (j - 1), (1 << j) - 1)) * p
+
+
+@settings(max_examples=500, deadline=None)
+@given(candidates())
+@example((1031, 1 + 100 * 1031))    # 100 < 2^7 but 100 > 1031^(16/25)
+def test_admissible_shortcut_matches_the_big_powers(pair):
+    p, q = pair
+    assert numbergap._admissible(p, q) == (q ** 25 < p ** 41)
+
+
 def test_motohashi_pair_dataclass():
     pair = MotohashiPair(5, 11, True)
     assert pair.bound_ok
@@ -433,3 +469,25 @@ def test_witness_sieves_the_primes_below_d_once(monkeypatch):
     calls.clear()
     numbergap.perimeter_gap_table(1000)
     assert len(calls) == 2      # one for the pairs, one for the whole table
+
+
+def test_decimal_rows_give_the_text_of_every_int():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for p_max in (1000, 3000):
+            rows = perimeter_gap_table(p_max)
+            text = list(numbergap._decimal_rows(rows))
+            assert [{**row, "n2": str(row["n2"]), "n": str(row["n"])}
+                    for row in rows] == text, p_max
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_decimal_rows_raise_on_a_division_that_is_not_exact():
+    row = perimeter_gap_table(100)[0]
+    assert list(numbergap._decimal_rows([row]))[0]["n2"] == "8736"
+    # 17 * 11 does not divide 2*3*5*7*11*13, nor is the quotient a
+    # terminating decimal
+    with pytest.raises(decimal.Inexact):
+        list(numbergap._decimal_rows([{**row, "p": 17}]))
