@@ -53,22 +53,26 @@ def complete_directed_cycles(D: Digraph, max_count=None):
             f"unbounded enumeration is capped at n={EXACT_DEFAULT_MAX}; "
             "pass max_count")
     cap = DEFAULT_MAX_COUNT if max_count is None else max_count
-    # cycle i is the first keeps[i] vertices of cycle i - 1 followed by
-    # tails[ends[i - 1]:ends[i]]; no object per cycle, as keeps and ends
-    # hold machine integers (tails holds the path's own int objects)
-    keeps, ends, tails = array("q"), array("q"), []
-    add_keep, add_end = keeps.append, ends.append
+    # cycle i is the first keeps[i] vertices of cycle i - 1 followed by the
+    # next sizes[i] entries of tails.  All three hold machine integers of at
+    # most n, two bytes each below n = 2^16, so a walk stopped at the cap
+    # has held two bytes per recorded vertex and no object
+    code = "H" if D.n < 1 << 16 else "q"
+    keeps, sizes, tails = array(code), array(code), array(code)
+    add_keep, add_size, add_tail = keeps.append, sizes.append, tails.fromlist
     count = 0
     for keep, path in _johnson(D):
         if count >= cap:
             return None
         count += 1
         add_keep(keep)
-        tails += path[keep:]
-        add_end(len(tails))
+        add_size(len(path) - keep)
+        add_tail(path[keep:])
+    vertex = list(range(D.n)).__getitem__   # one int object per vertex
     path, cycles, start = [], [], 0
-    for keep, end in zip(keeps, ends):
-        path[keep:] = tails[start:end]
+    for keep, size in zip(keeps, sizes):
+        end = start + size
+        path[keep:] = map(vertex, tails[start:end])
         start = end
         cycles.append(DirectedCycle(tuple(path)))
     return cycles

@@ -90,6 +90,22 @@ def test_complete_cycles_of_a_deep_cycle():
     assert complete_directed_cycles(cycle_digraph(3000), 0) is None
 
 
+def test_complete_cycles_record_vertices_past_two_bytes():
+    # both digons close at root 0, so cap 1 records (0, 65536) before the
+    # second one stops the walk
+    D = Digraph(65538, [(0, 65536), (65536, 0), (0, 65537), (65537, 0)])
+    assert complete_directed_cycles(D, 1) is None
+
+
+def test_complete_cycles_share_one_int_per_vertex():
+    # the 300-cycle and the chord's 150-cycle share vertices 150..299
+    D = Digraph(300, [(v, (v + 1) % 300) for v in range(300)] + [(299, 150)])
+    cycles = complete_directed_cycles(D, 2)
+    assert [c.vertices for c in cycles] == [tuple(range(300)),
+                                            tuple(range(150, 300))]
+    assert len({id(v) for c in cycles for v in c.vertices if v == 260}) == 1
+
+
 def test_complete_cycles_build_no_cycle_past_the_cap(monkeypatch):
     built = []
     build = cyclegraph.DirectedCycle
