@@ -88,7 +88,10 @@ def build_parser():
     v.set_defaults(run=cmd_verify)
 
     s = sub.add_parser("search", help="arithmetic searches")
-    s.add_argument("kind", choices=["prime-partitionable", "motohashi", "theorem11"])
+    s.add_argument("kind", choices=["prime-partitionable", "motohashi", "theorem11"],
+                   help="motohashi lists each prime p <= --max-p whose least "
+                        "prime q = 1 (mod p) has q^25 < p^41; its bound_ok "
+                        "column reads 1 on every row, as no other p is listed")
     s.add_argument("--max-d", type=int, default=20)
     s.add_argument("--max-p", type=int, default=100)
     _add_report_flags(s)

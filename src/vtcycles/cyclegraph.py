@@ -8,6 +8,15 @@ Cycle enumeration is exponential in general, so its one full entry point,
 None and builds no cycle, and every conclusion that needs the complete
 cycle set is withheld.  On a host certified vertex-transitive,
 ``_cycles_through_0`` walks only the cycles through vertex 0.
+
+On a certified Cayley host Cay(G, S) the cap can be proved exceeded long
+before the walk reaches it.  Every cycle is a translate of one through
+vertex 0, and its class of translates is fixed by its cyclic word of arc
+labels u^-1 v, a necklace: a word of length L and least period p stands
+for n*p/L cycles.  Summed over the distinct necklaces of the circuits
+through 0 walked so far, that is a lower bound on the cycle count
+(:class:`_OrbitCount`), and ``complete_directed_cycles`` returns None as
+soon as it passes the cap.
 """
 
 from __future__ import annotations
@@ -38,7 +47,8 @@ class EnumerationIncomplete(RuntimeError):
 
 # --- enumeration -----------------------------------------------------------
 
-def complete_directed_cycles(D: Digraph, max_count=None):
+def complete_directed_cycles(D: Digraph, max_count=None,
+                             family: AutomorphismFamily = None):
     """All simple directed cycles of D, canonicalized, in the order of
     Johnson's walk (roots ascending, out-neighbors sorted), or None when
     there are more than ``max_count`` (10^6 when None).
@@ -47,12 +57,29 @@ def complete_directed_cycles(D: Digraph, max_count=None):
     each cycle as its change from the previous one, and the cycles are
     built from that record only once the walk has ended within the cap:
     past it, none is built.
+
+    A ``family`` of left translations of a group (``family.group``) whose
+    generators are translations of that group and certify D lets the walk
+    stop early: once the translation classes of the circuits through
+    vertex 0 (:class:`_OrbitCount`) hold more than ``max_count`` cycles,
+    it returns None there.  The answer is the same; every other family is
+    ignored.
     """
     if max_count is None and D.n > EXACT_DEFAULT_MAX:
         raise ValueError(
             f"unbounded enumeration is capped at n={EXACT_DEFAULT_MAX}; "
             "pass max_count")
     cap = DEFAULT_MAX_COUNT if max_count is None else max_count
+    # a class holds at most n cycles, so the orbit count needs more than
+    # cap // n circuits to pass the cap: it tallies those after the first
+    # cap // n, and a walk that ends before them pays nothing for it
+    orbits = None
+    watch = cap
+    group = None if family is None else family.group
+    if group is not None and family.certifies(D) and all(
+            p == group.row(p[group.identity]) for p in family.generators):
+        orbits = _OrbitCount(D, group)
+        watch = cap // D.n
     # cycle i is the first keeps[i] vertices of cycle i - 1 followed by the
     # next sizes[i] entries of tails.  All three hold machine integers of at
     # most n, two bytes each below n = 2^16, so a walk stopped at the cap
@@ -62,8 +89,17 @@ def complete_directed_cycles(D: Digraph, max_count=None):
     add_keep, add_size, add_tail = keeps.append, sizes.append, tails.fromlist
     count = 0
     for keep, path in _johnson(D):
-        if count >= cap:
-            return None
+        if count >= watch:
+            if count >= cap:
+                return None
+            if path[0]:   # past the circuits through 0: the count decides
+                watch = cap
+            elif orbits.add(keep, path) > cap:
+                log.info("complete_directed_cycles: more than %d cycles by "
+                         "the orbits of %d necklaces through vertex 0, "
+                         "after %d circuits", cap, len(orbits.seen),
+                         count + 1)
+                return None
         count += 1
         add_keep(keep)
         add_size(len(path) - keep)
@@ -76,6 +112,79 @@ def complete_directed_cycles(D: Digraph, max_count=None):
         start = end
         cycles.append(DirectedCycle(tuple(path)))
     return cycles
+
+
+class _OrbitCount:
+    """A lower bound on the cycle count of D = Cay(G, S), read off its
+    circuits through vertex 0 (Witte and Gallian 1984).
+
+    The left translations of G act regularly and keep the label u^-1 v of
+    an arc u -> v, so a circuit's class of translates is fixed by its
+    cyclic label word w.  The class holds n*p/L cycles, p the least period
+    of w and L its length: a translate fixes the cycle iff it rotates w by
+    a multiple of p.  Two circuits through 0 lie in one class iff their
+    words are rotations of each other, a necklace.  ``add`` sums n*p/L over
+    the necklaces it has seen; over every circuit through 0 the sum is the
+    cycle count.  The label table is built on the first ``add``."""
+
+    def __init__(self, D: Digraph, group):
+        self.D = D
+        self.group = group
+        self.label = None
+        self.letters = []   # labels of the previous circuit's path arcs
+        self.seen = set()
+        self.cycles = 0
+
+    def add(self, keep: int, path) -> int:
+        """Tally the circuit ``path`` from 0, whose first ``keep`` vertices
+        are those of the previous circuit passed (as ``_johnson`` yields);
+        returns the running sum."""
+        label = self.label
+        if label is None:
+            # arc u -> u*s is labelled s, one character per generator s, so
+            # that words compare, rotate and search as strings
+            g = self.group
+            chars = {s: chr(i) for i, s in enumerate(self.D.out[g.identity])}
+            label = self.label = [{g.mul(u, s): c for s, c in chars.items()}
+                                  for u in range(self.D.n)]
+        start = keep - 1 if keep and self.letters else 0
+        self.letters[start:] = [label[u][v] for u, v in
+                                zip(path[start:], path[start + 1:])]
+        word = "".join(self.letters) + label[path[-1]][path[0]]
+        length = len(word)
+        period = (word + word).find(word, 1)
+        necklace = length, _least_rotation(word[:period])
+        if necklace not in self.seen:
+            self.seen.add(necklace)
+            size, rest = divmod(self.D.n * period, length)
+            assert not rest, "a class size n*p/L is not an integer"
+            self.cycles += size
+        return self.cycles
+
+
+def _least_rotation(word: str) -> str:
+    """The least rotation of a primitive word.  It starts a longest run of
+    the least letter, and each such run starts an occurrence of that run in
+    word + word before the end of word, so only those are compared.  Two
+    of them are at least one letter apart, so each search for the next
+    starts past that letter."""
+    doubled = word + word
+    least = min(word)
+    short, long = 1, len(word)   # run lengths that occur and that do not
+    while long - short > 1:
+        mid = (short + long) // 2
+        if least * mid in doubled:
+            short = mid
+        else:
+            long = mid
+    run = least * short
+    found = doubled.find(run)
+    best = doubled[found:found + len(word)]
+    found = doubled.find(run, found + short + 1)
+    while 0 <= found < len(word):
+        best = min(best, doubled[found:found + len(word)])
+        found = doubled.find(run, found + short + 1)
+    return best
 
 
 def _log_enumeration(stage: str, cycles, max_count) -> None:
@@ -720,6 +829,8 @@ def pipeline_n13(D: Digraph, fam: AutomorphismFamily = None,
     a trace; if enumeration is infeasible (more than ``max_cycles``
     cycles, none of which is built, or ``max_cycles=None`` past the
     unbounded guard) the small-branch result is returned flagged partial.
+    ``fam`` goes to the enumeration, which on a certified Cayley host can
+    prove the cap exceeded from the cycles through vertex 0 alone.
     The result is asserted against the recorded floor constant 1/9:
     length >= n^(1/3)/9.
 
@@ -760,7 +871,7 @@ def pipeline_n13(D: Digraph, fam: AutomorphismFamily = None,
         candidates.append(res.cycle)
     else:
         try:
-            cycles = complete_directed_cycles(D, max_cycles)
+            cycles = complete_directed_cycles(D, max_cycles, fam)
         except ValueError as err:   # unbounded guard: max_cycles=None, n > 20
             log.info("pipeline_n13: %s; none built", err)
             cycles = None

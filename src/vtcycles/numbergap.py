@@ -324,7 +324,12 @@ def _first_covering_counter(d: int, ps):
 
 @dataclass(frozen=True)
 class MotohashiPair:
-    """Primes q = 1 (mod p) with q^25 < p^41 (that is, q < p^1.64)."""
+    """Primes q = 1 (mod p) with q^25 < p^41 (that is, q < p^1.64).
+
+    ``motohashi_pairs`` keeps a pair only once the bound holds, so
+    ``bound_ok`` is True on every pair it returns; a p whose least q fails
+    the bound gives no pair.  The field stays as the ``bound_ok`` column
+    of ``vtc search motohashi``, whose output is pinned byte for byte."""
 
     p: int
     q: int

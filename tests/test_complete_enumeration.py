@@ -1,7 +1,8 @@
 """``complete_directed_cycles``, the package's one full cycle enumeration,
 against the plain rooted DFS listing, the callers that need every cycle,
-and their ``VTC_LOG`` lines; and the walk of the cycles through vertex 0
-of a certified vertex-transitive host against it."""
+and their ``VTC_LOG`` lines; the walk of the cycles through vertex 0 of
+a certified vertex-transitive host against it; and the orbit count of
+those cycles that stops a capped walk on a certified Cayley host."""
 
 import hashlib
 import logging
@@ -12,17 +13,18 @@ from itertools import islice
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vtcycles import cyclegraph, groups
+from vtcycles.automorphisms import automorphism_family_by_search
 from vtcycles.cyclegraph import (_cycles_through_0, complete_directed_cycles,
                                  cycle_graph_diameter_check, pipeline_n13)
 from vtcycles.digraph import Digraph
 from vtcycles.gadgets import (cycle_digraph, directed_cycle_product,
                               four_cycle_chain, product_cayley_spec)
-from vtcycles.groups import (CayleySpec, cayley_digraph, cyclic_group,
-                             dihedral_group, left_translations)
+from vtcycles.groups import (AutomorphismFamily, CayleySpec, cayley_digraph,
+                             cyclic_group, dihedral_group, left_translations)
 from vtcycles.verify import product_pairs, stitch_hosts, suite_divisibility
 
 from _independent import dfs_cycles_in_order
@@ -211,16 +213,93 @@ def test_cycles_through_0_give_the_circumference_and_every_count(spec):
     assert {L: Fraction(D.n * c0, L) for L, c0 in at0.items()} == full
 
 
-def test_cycles_through_0_refuse_a_family_that_does_not_certify_the_host():
+@settings(max_examples=150, deadline=None)
+@given(certified_cayley_specs())
+@example(CayleySpec(cyclic_group(12), (1, 5)))   # 0, 1, ..., 11 is one cycle
+def test_orbit_count_of_the_cycles_through_0_is_the_cycle_count(spec):
+    D = cayley_digraph(spec)
+    family = left_translations(spec)
+    cycles = [c.vertices for c in complete_directed_cycles(D)]
+    orbits = cyclegraph._OrbitCount(D, spec.group)
+    for keep, path in cyclegraph._johnson(D, 1):
+        total = orbits.add(keep, path)
+    assert total == len(cycles)
+    # the orbit count stops the walk past the cap, and changes no answer
+    for cap in (0, len(cycles) // 2, len(cycles) - 1, len(cycles),
+                len(cycles) + 1):
+        capped = complete_directed_cycles(D, cap, family)
+        if cap < len(cycles):
+            assert capped is None
+        else:
+            assert [c.vertices for c in capped] == cycles
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="abc", min_size=1, max_size=12))
+def test_least_rotation_of_a_primitive_word_is_the_least_of_all(text):
+    word = text[:(text + text).find(text, 1)]
+    rotations = [word[i:] + word[:i] for i in range(len(word))]
+    assert cyclegraph._least_rotation(word) == min(rotations)
+
+
+@pytest.fixture
+def no_orbit_count(monkeypatch):
+    def refused(D, group):
+        raise AssertionError("the orbit count ran")
+
+    monkeypatch.setattr(cyclegraph, "_OrbitCount", refused)
+
+
+def test_cycles_through_0_refuse_a_family_that_does_not_certify_the_host(
+        no_orbit_count):
     D = four_cycle_chain(3)    # 12 vertices, not vertex-transitive
     rotations = left_translations(CayleySpec(cyclic_group(12), (1,)))
     assert not rotations.certifies(D)
-    # here the root-0 census would read 20 cycles against the true 19
+    # here the root-0 census would read 20 cycles against the true 19,
+    # and the orbit count of the labels v - u mod 12 would read 60
     at0 = Counter(len(path) for _, path in cyclegraph._johnson(D, 1))
     assert sum(Fraction(D.n * c0, L) for L, c0 in at0.items()) == 20
-    assert len(complete_directed_cycles(D)) == 19
+    cycles = complete_directed_cycles(D)
+    assert len(cycles) == 19
     with pytest.raises(ValueError, match="certify"):
         _cycles_through_0(D, rotations)
+    assert complete_directed_cycles(D, 18, rotations) is None
+    assert complete_directed_cycles(D, 19, rotations) == cycles
+
+
+def test_orbit_count_needs_the_translations_of_the_family_group(
+        no_orbit_count):
+    D = directed_cycle_product(2, 3)    # 11 cycles
+    cycles = complete_directed_cycles(D)
+    # the automorphism search keeps no group
+    searched = automorphism_family_by_search(D)
+    assert searched.group is None and searched.certifies(D)
+    assert complete_directed_cycles(D, 11, searched) == cycles
+    # generators that are translations of Z2 x Z3 certify D, but the
+    # translations of Z6 they are paired with are not automorphisms of D:
+    # its labels v - u mod 6 would count 27 cycles
+    product = left_translations(product_cayley_spec(2, 3))
+    paired = AutomorphismFamily(6, generators=product.generators,
+                                group=cyclic_group(6))
+    assert paired.certifies(D)
+    assert complete_directed_cycles(D, 11, paired) == cycles
+
+
+def test_orbit_count_logs_the_necklaces_that_proved_the_cap(caplog):
+    # the first cycle through 0, (0, 1, ..., 7), has 2 translates: past 1
+    spec = product_cayley_spec(2, 8)
+    with caplog.at_level(logging.INFO, logger="vtc"):
+        _, report = pipeline_n13(cayley_digraph(spec), left_translations(spec),
+                                 max_cycles=1)
+    assert report["partial"]
+    assert caplog.messages == [
+        "pipeline_n13: diameter is the eccentricity of vertex 0 "
+        "(2 certified generators)",
+        "complete_directed_cycles: more than 1 cycles by the orbits of "
+        "1 necklaces through vertex 0, after 1 circuits",
+        "pipeline_n13: more than 1 cycles; none built",
+        "dfs_long_cycle: 5 extensions, 7 reach sets by fill over "
+        "3 shift classes"]
 
 
 def test_cycles_through_0_keep_the_exact_cap_on_certified_hosts():
