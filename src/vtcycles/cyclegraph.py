@@ -125,13 +125,17 @@ class _OrbitCount:
     a multiple of p.  Two circuits through 0 lie in one class iff their
     words are rotations of each other, a necklace.  ``add`` sums n*p/L over
     the necklaces it has seen; over every circuit through 0 the sum is the
-    cycle count.  The label table is built on the first ``add``."""
+    cycle count.  Only the arcs of the circuits tallied are labelled, each
+    once, so no table over all n vertices is built."""
 
     def __init__(self, D: Digraph, group):
         self.D = D
         self.group = group
-        self.label = None
-        self.letters = []   # labels of the previous circuit's path arcs
+        # arc u -> u*s is labelled s, one character per generator s, so
+        # that words compare, rotate and search as strings
+        self.chars = {s: chr(i) for i, s in enumerate(D.out[group.identity])}
+        self.labels = {}    # u * n + v -> label of the arc u -> v
+        self.letters = []   # labels of the previous circuit's arcs
         self.seen = set()
         self.cycles = 0
 
@@ -139,18 +143,17 @@ class _OrbitCount:
         """Tally the circuit ``path`` from 0, whose first ``keep`` vertices
         are those of the previous circuit passed (as ``_johnson`` yields);
         returns the running sum."""
-        label = self.label
-        if label is None:
-            # arc u -> u*s is labelled s, one character per generator s, so
-            # that words compare, rotate and search as strings
-            g = self.group
-            chars = {s: chr(i) for i, s in enumerate(self.D.out[g.identity])}
-            label = self.label = [{g.mul(u, s): c for s, c in chars.items()}
-                                  for u in range(self.D.n)]
-        start = keep - 1 if keep and self.letters else 0
-        self.letters[start:] = [label[u][v] for u, v in
-                                zip(path[start:], path[start + 1:])]
-        word = "".join(self.letters) + label[path[-1]][path[0]]
+        chars, mul, inv = self.chars, self.group.mul, self.group.inv
+        labels, n, letters = self.labels, self.D.n, self.letters
+        start = keep - 1 if keep and letters else 0
+        del letters[start:]   # the closing arc's label goes too
+        for u, v in zip(path[start:], path[start + 1:] + path[:1]):
+            arc = u * n + v
+            letter = labels.get(arc)
+            if letter is None:
+                letter = labels[arc] = chars[mul(inv(u), v)]
+            letters.append(letter)
+        word = "".join(letters)
         length = len(word)
         period = (word + word).find(word, 1)
         necklace = length, _least_rotation(word[:period])

@@ -83,6 +83,15 @@ class Budget:
         self.used += 1
         return self.cap is None or self.used <= self.cap
 
+    def spend_many(self, k: int) -> bool:
+        """Charge k nodes as k calls of ``spend`` would, stopping at the
+        first refused one: past the cap ``used`` reads ``cap + 1``."""
+        self.used += k
+        if self.cap is None or self.used <= self.cap:
+            return True
+        self.used = self.cap + 1
+        return False
+
     @property
     def exhausted(self) -> bool:
         return self.cap is not None and self.used > self.cap

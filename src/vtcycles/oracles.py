@@ -26,6 +26,17 @@ searches all walk ``simple_paths``.  The induced-cycle searches walk
 ``_induced_closures``, whose candidate sets are bitmasks; the
 longest-induced-cycle oracle keeps one best cycle, never the list of all
 induced cycles.
+
+Cycle intersection graphs are nearly complete (C2xC8's has 264 vertices
+and 34,687 edges), so almost every path start of that walk is dead: none
+of its neighbors lies above the root off the root's neighborhood, so it
+closes triangles and nothing else.  Once no triangle can count, because
+``min_len`` is above 3 or the longest-cycle oracle already holds a cycle
+and tells the walk the length that beats it, the walk charges each run of
+dead starts in one step.  A run is charged node for node, in the same
+order, and a cap inside it stops the walk where it would have stopped one
+start at a time, so ``expansions`` and every answer are those of the walk
+that enters each start.
 """
 
 from __future__ import annotations
@@ -287,44 +298,71 @@ def induced_cycles(G: Graph, min_len: int = 3, budget=None):
 def brute_longest_induced_cycle(G: Graph, budget=None) -> SearchResult:
     """Longest induced cycle: the first of maximum length in the order of
     ``induced_cycles``, found without building that list.  Only one best
-    cycle is kept; ``expansions`` counts the nodes the walk spent."""
+    cycle is kept; ``expansions`` counts the nodes the walk spent.  The
+    walk is told the length a cycle needs to beat the best, so it stops
+    yielding the shorter ones it would only throw away."""
     spent = Budget.over(G.n, budget)
     best = None
-    for path, closers in _induced_closures(G, 3, spent):
+    floor = [3]
+    for path, closers in _induced_closures(G, 3, spent, floor):
         if best is None or len(path) + 1 > len(best):
             best = tuple(path) + ((closers & -closers).bit_length() - 1,)
+            floor[0] = len(best) + 1
     return SearchResult(best, not spent.exhausted, spent.used)
 
 
-def _induced_closures(G: Graph, min_len: int, spent: Budget):
+def _induced_closures(G: Graph, min_len: int, spent: Budget, floor=None):
     """Depth-first walk over the chordless paths root, a, ... with every
     vertex above root, yielding (path, closers): path + (w,) is an induced
     cycle of length >= min_len for each bit w of the closers mask, and
-    w > path[1].  The yielded list is the live path.
+    w > path[1].  The yielded list is the live path.  ``floor``, a
+    one-element list the caller may raise between yields, lifts min_len
+    for the starts entered after it is raised.
 
     A frame holds two masks of candidates, the neighbors of path[-1] above
     root that are off the path and not adjacent to its interior: ``ext``
     (not adjacent to root; the path may grow through them) and ``close``
     (adjacent to root).  Before descending into extension w the walk yields
-    the closers below w; a finished frame yields the rest.  A start with no
-    extension yields its closers without a frame.  One node of
+    the closers below w; a finished frame yields the rest.  One node of
     ``spent`` is charged per path start and per extension, and the walk
     ends at the first refused node, after the closers below it.
+
+    A start a is dead when no neighbor of a lies above root off root's
+    neighborhood (``far``): no path grows through it and it closes only
+    triangles, which it yields without a frame.  Once the length to reach
+    is above 3, dead starts yield nothing, and the walk charges each run
+    of them below the next live start in one step of ``spent``: the nodes
+    charged, their order and the node refused are those of a walk that
+    enters them one by one, so ``spent.used`` reads the same.
     """
     adj_masks = G.masks
+    full = (1 << G.n) - 1
     for root in range(G.n):
         above = -1 << (root + 1)
         root_adj = adj_masks[root]
         starts = root_adj & above
+        live = None   # the starts that are not dead, found when first needed
         while starts:
+            shortest = min_len if floor is None else max(min_len, floor[0])
+            if shortest > 3:
+                if live is None:
+                    live = _live_starts(adj_masks, starts,
+                                        full & above & ~root_adj)
+                ahead = live & starts
+                dead = starts & ((ahead & -ahead) - 1)
+                if dead:
+                    if not spent.spend_many(dead.bit_count()):
+                        return
+                    starts ^= dead
+                    continue
             wb = starts & -starts
             starts ^= wb
             if not spent.spend():
                 return
             closing = root_adj & (-1 << wb.bit_length())  # above path[1]
             cand = adj_masks[wb.bit_length() - 1] & above & ~wb
-            if not cand & ~root_adj:    # a dead start: only triangles close
-                if min_len <= 3 and cand & closing:
+            if not cand & ~root_adj:    # dead, and triangles still count
+                if cand & closing:
                     yield [root, wb.bit_length() - 1], cand & closing
                 continue
             path = [root]
@@ -335,7 +373,7 @@ def _induced_closures(G: Graph, min_len: int, spent: Budget):
                 path.append(wb.bit_length() - 1)
                 visited |= wb
                 cand = adj_masks[path[-1]] & above & ~visited & ~blocked
-                close = cand & closing if len(path) >= min_len - 1 else 0
+                close = cand & closing if len(path) >= shortest - 1 else 0
                 frames.append([cand & ~root_adj, close, visited, blocked])
                 # find the next extension, closing finished frames
                 wb = 0
@@ -358,6 +396,21 @@ def _induced_closures(G: Graph, min_len: int, spent: Budget):
                         return
                     visited = frame[2]
                     blocked = frame[3] | (adj_masks[path[-1]] & ~wb)
+
+
+def _live_starts(adj_masks, starts: int, far: int) -> int:
+    """The starts with a neighbor in ``far``, read from whichever of the
+    two sets has fewer bits: the neighbors of far's vertices (the graph is
+    symmetric), or each start's own mask."""
+    live = 0
+    if far.bit_count() <= starts.bit_count():
+        for x in iter_bits(far):
+            live |= adj_masks[x]
+        return live & starts
+    for w in iter_bits(starts):
+        if adj_masks[w] & far:
+            live |= 1 << w
+    return live
 
 
 # --- cycle packings and intersections --------------------------------------

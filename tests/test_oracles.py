@@ -341,7 +341,7 @@ def test_longest_induced_cycle_reports_its_expansions():
 # --- the induced-cycle oracle ------------------------------------------------
 
 def _cycle_graph(D):
-    return build_cycle_graph(D, complete_directed_cycles(D)).graph
+    return build_cycle_graph(D, complete_directed_cycles(D, 10 ** 6)).graph
 
 
 INDUCED_HOSTS = {
@@ -350,6 +350,7 @@ INDUCED_HOSTS = {
     "K4": lambda: Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
     "toroidal1": lambda: _cycle_graph(toroidal_gadget(1)),  # 58 cycles
     "C2xC8": lambda: _cycle_graph(directed_cycle_product(2, 8)),  # 264 cycles
+    "C3xC7": lambda: _cycle_graph(directed_cycle_product(3, 7)),  # 2,299 cycles
 }
 
 
@@ -365,7 +366,9 @@ def _digest(cycles):
 # Recorded from the enumerate-then-scan oracle that the closure walk
 # replaced.  induced_cycles columns: host, min_len, budget, list length,
 # digest of the list, exact.  brute_longest_induced_cycle columns: host,
-# budget, best, exact, expansions.  Budget None only where n <= 20.
+# budget, best, exact, expansions.  Budget None only where n <= 20.  The
+# C3xC7 rows were recorded from the walk that still entered every dead
+# start one by one, before runs of them were charged in one step.
 INDUCED_PARITY = [
     ('petersen', 3, None, 22, '973f69f8ef5053c3', True),
     ('petersen', 3, 1, 0, '4f53cda18c2baa0c', False),
@@ -436,6 +439,9 @@ INDUCED_PARITY = [
     ('C2xC8', 4, 1000, 28, '5757204ed0fa5de5', False),
     ('C2xC8', 4, 20000, 28, '5757204ed0fa5de5', False),
     ('C2xC8', 4, 2000000, 28, '5757204ed0fa5de5', True),
+    ('C3xC7', 4, 1000, 16, 'daa89ca85aefadbb', False),
+    ('C3xC7', 4, 100000, 84, 'f32ab576aedf914f', False),
+    ('C3xC7', 4, 2000000, 692, '774cc8f6a7e66c81', False),
 ]
 LONGEST_PARITY = [
     ('petersen', None, (0, 1, 2, 3, 8, 5), True, 100),
@@ -476,6 +482,9 @@ LONGEST_PARITY = [
     ('C2xC8', 1000, (0, 128, 263, 225), False, 1001),
     ('C2xC8', 20000, (0, 128, 263, 225), False, 20001),
     ('C2xC8', 2000000, (0, 128, 263, 225), True, 36166),
+    ('C3xC7', 1000, (0, 74, 2297, 2244), False, 1001),
+    ('C3xC7', 100000, (0, 74, 2297, 2244), False, 100001),
+    ('C3xC7', 2000000, (0, 74, 2297, 2244), False, 2000001),
 ]
 
 
@@ -498,7 +507,8 @@ def test_longest_induced_cycle_matches_recorded_results(host, budget, best,
 
 def _reference_closures(G, min_len, spent):
     """The induced-cycle walk as it was before dead starts were handled
-    inline: every start builds its path and opens a frame."""
+    inline: every start builds its path, opens a frame and is charged on
+    its own."""
     adj_masks = G.masks
     for root in range(G.n):
         above = -1 << (root + 1)
@@ -550,8 +560,24 @@ def small_graphs(draw):
     return Graph(n, draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
 
 
-@settings(max_examples=300, deadline=None)
-@given(small_graphs(), st.integers(3, 5), st.sampled_from((5, 40, 10 ** 6)))
+@st.composite
+def dense_graphs(draw):
+    """Every pair but at most 30% of them is an edge, as in the cycle
+    graphs: most path starts are dead, and a small budget runs out inside
+    a run of them."""
+    n = draw(st.integers(4, 18))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    missing = set(draw(st.lists(st.sampled_from(pairs),
+                                max_size=3 * len(pairs) // 10)))
+    return Graph(n, [p for p in pairs if p not in missing])
+
+
+WALK_GRAPHS = st.one_of(small_graphs(), dense_graphs())
+WALK_BUDGETS = st.one_of(st.sampled_from((5, 40, 10 ** 6)), st.integers(1, 300))
+
+
+@settings(max_examples=400, deadline=None)
+@given(WALK_GRAPHS, st.integers(3, 5), WALK_BUDGETS)
 def test_induced_walk_matches_the_walk_with_a_frame_per_start(G, min_len,
                                                               budget):
     walks = []
@@ -561,3 +587,18 @@ def test_induced_walk_matches_the_walk_with_a_frame_per_start(G, min_len,
                   for path, closers in walk(G, min_len, spent)]
         walks.append((yields, spent.used))
     assert walks[0] == walks[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(WALK_GRAPHS, st.one_of(st.none(), WALK_BUDGETS))
+def test_longest_induced_cycle_matches_a_scan_of_the_reference_walk(G,
+                                                                    budget):
+    # the reference walk yields every closer: the first longest is kept
+    spent = Budget(budget)
+    best = None
+    for path, closers in _reference_closures(G, 3, spent):
+        if best is None or len(path) + 1 > len(best):
+            best = tuple(path) + ((closers & -closers).bit_length() - 1,)
+    res = brute_longest_induced_cycle(G, budget)
+    assert (res.best, res.exact, res.expansions) == (best, not spent.exhausted,
+                                                     spent.used)
