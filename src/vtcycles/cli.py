@@ -26,8 +26,8 @@ from .longcycle import (dfs_long_cycle, expansion_check_transitive_bound,
                         EXPANSION_EXACT_MAX)
 from .cyclegraph import (DEFAULT_MAX_COUNT, cycle_graph_diameter_check,
                          pipeline_n13)
-from .numbergap import (_decimal_rows, motohashi_pairs, perimeter_gap_table,
-                        search_prime_partitionable)
+from .numbergap import (_admissible_pairs, _decimal_rows, motohashi_pairs,
+                        perimeter_gap_table, search_prime_partitionable)
 from .reports import all_assertions_hold, dump, make_report, write_csv
 from . import verify as V
 
@@ -102,13 +102,15 @@ def build_parser():
 
 def _emit(args, payload, table=None) -> None:
     """Write payload as JSON, or table = (rows, columns) as CSV under
-    --format csv, to the --out file or to stdout."""
+    --format csv, to the --out file or to stdout.  The CSV is built before
+    the file is opened, so rows that raise leave no file behind."""
+    text = write_csv(*table) if table and args.fmt == "csv" else None
     with (open(args.out, "w", encoding="utf-8") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
-        if table and args.fmt == "csv":
-            fh.write(write_csv(*table))
-        else:
+        if text is None:
             dump(payload, fh)
+        else:
+            fh.write(text)
 
 
 # --- construct ---------------------------------------------------------------
@@ -280,22 +282,28 @@ def cmd_search(args) -> int:
                      "hits": payload})
         return 0
     if args.kind == "motohashi":
-        pairs = motohashi_pairs(args.max_p)
-        rows = ({"p": m.p, "q": m.q, "bound_ok": m.bound_ok} for m in pairs)
-        _emit(args, {"schema": 1, "search": args.kind, "max_p": args.max_p,
-                     "pairs": pairs}, (rows, ("p", "q", "bound_ok")))
+        if args.fmt == "csv":   # plain (p, q) ints, no MotohashiPair
+            rows = ((p, q, True) for p, q in _admissible_pairs(args.max_p))
+            _emit(args, None, (rows, ("p", "q", "bound_ok")))
+        else:
+            _emit(args, {"schema": 1, "search": args.kind,
+                         "max_p": args.max_p,
+                         "pairs": motohashi_pairs(args.max_p)})
         return 0
     rows = perimeter_gap_table(args.max_p)
+    if args.fmt == "csv":
+        # n2 and n come as text from exact Decimal arithmetic, so the
+        # interpreter's limit on int-to-text conversion stays in force
+        _emit(args, None, (_decimal_rows(rows),
+                           ("p", "q", "d", "n1", "n2", "n", "ln_n", "ratio")))
+        return 0
     # From p = 457 on, n has more digits than the interpreter converts to
     # text by default (4300).  The guard is against hostile input; these
     # integers are computed here, so it is lifted while JSON writes them.
-    # The CSV takes n2 and n as text from exact Decimal arithmetic.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        _emit(args, {"schema": 1, "search": args.kind, "rows": rows},
-              (_decimal_rows(rows),
-               ("p", "q", "d", "n1", "n2", "n", "ln_n", "ratio")))
+        _emit(args, {"schema": 1, "search": args.kind, "rows": rows})
     finally:
         sys.set_int_max_str_digits(limit)
     return 0

@@ -6,10 +6,13 @@ that produces witnesses with d close to ln(n1*n2).
 All threshold comparisons are exact: the admissibility exponent is encoded
 as the rational 41/25 and tested in integers, by bit lengths where they
 decide and by big-integer powering otherwise; a float only bounds the
-candidates q = 1 (mod p).  ``motohashi_pairs`` reads the first 16
-candidates 1 + 2jp of every odd p from one odd-only sieve, one strided
-slice per p; only a p with no prime among them (7,237 of the 78,498 up to
-10^6) goes on with ``is_prime``.  ``is_prime`` settles n < 1000^2, and n
+candidates q = 1 (mod p).  The admissible pairs come from one odd-only
+sieve (``_admissible_pairs``), which lists the odd primes p and, in one
+strided slice per p, every candidate 1 + 2jp it holds, at least 16 of
+them; only a p with no prime among them (2,147 of the 78,498 up to 10^6)
+goes on with ``is_prime``.  ``motohashi_pairs`` wraps them as
+``MotohashiPair``; ``perimeter_gap_table`` and the CSV of ``vtc search
+motohashi`` take them as plain ints.  ``is_prime`` settles n < 1000^2, and n
 with a prime factor below 1,000, by one gcd, runs the fewest proven
 Miller-Rabin bases on the rest (at most four for every q that
 ``motohashi_pairs(10**6)`` hands it) and refuses n it cannot decide.
@@ -33,8 +36,9 @@ takes 0.010 s and ``perimeter_gap_table(3000)`` 0.082 s, against 0.056 s
 and 0.48 s with each prime below d tested against the gcd (medians of
 five processes, 2 vCPUs, Python 3.11.7).  CPython turns a large int into
 decimal text in quadratic time, so the CSV reads n2 and n from a
-``Decimal`` copy of that product (``_decimal_rows``): ``vtc search
-theorem11 --max-p 3000`` takes 0.40 s, against 1.77 s through ``str()``.
+``Decimal`` copy of that product (``_decimal_rows``) and runs with the
+interpreter's limit on int-to-text conversion in force: ``vtc search
+theorem11 --max-p 3000`` takes 0.14 s.
 
 The witness search needs neither gcds nor products: within its family,
 which primes divide n1 and n2 is known from the bipartition, so each
@@ -42,8 +46,8 @@ prime marks its splits in two int masks, and a pruned depth-first walk
 over the bipartitions finds the first one, in counter order, whose masks
 cover every split.  ``search_prime_partitionable(40)`` takes 0.004 s
 against 0.40 s for the counter scan with one sieve per bipartition, and
-``motohashi_pairs(10**6)`` 0.58 s, with 53,374 ``is_prime`` calls,
-against 1.48 s and 588,933 calls with ``is_prime`` on every candidate
+``motohashi_pairs(10**6)`` 0.35 s, with 16,497 ``is_prime`` calls,
+against 0.85 s and 588,933 calls with ``is_prime`` on every candidate
 (medians of five processes, 2 vCPUs, Python 3.11.7).
 """
 
@@ -53,7 +57,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import (MAX_EMAX, Context, Decimal, Inexact, InvalidOperation,
                      Overflow, Rounded)
-from itertools import compress
+from itertools import chain, compress
 from math import exp, gcd, isqrt, log, prod
 
 THETA_NUM = 41   # q admissible iff q^25 < p^41, i.e. q < p^(41/25)
@@ -336,28 +340,40 @@ class MotohashiPair:
     bound_ok: bool
 
 
-# Candidates per odd p read from the sieve.  16 settle all but 7,237 of the
-# 78,498 primes up to 10^6 in a sieve of 16 * p_max + 1 bytes;
-# motohashi_pairs(10**6) takes 1.6 times as long with 8, 1.2 times with 32.
+# Sieve entries per unit of p_max.  The 16 * p_max + 1 entries hold the odd
+# numbers below 32 * p_max + 2: the first 16 candidates 1 + 2jp of every odd
+# p <= p_max, and more the smaller p is.  Read as far as they reach, they
+# leave 2,147 of the 78,498 primes up to 10^6 to ``is_prime``, with 16,497
+# calls; motohashi_pairs(10**6) takes about as long with 8 (74,873 calls)
+# and 1.7 times as long with 32.
 _WINDOW = 16
 
 
 def motohashi_pairs(p_max: int):
     """For each prime p <= p_max, the smallest prime q = 1 (mod p), kept
-    when q^25 < p^41 holds exactly.  The candidates ascend to the float
-    estimate p^(41/25) plus one, which no admissible q exceeds; for odd p
-    they step by 2p, since 1 + kp is even for odd k.  The first
-    ``_WINDOW`` of them are one strided slice of an odd-only sieve, where
-    1 + j*step is entry j*step/2; ``is_prime`` tests the ones after."""
+    when q^25 < p^41 holds exactly: the pairs of ``_admissible_pairs`` as
+    ``MotohashiPair`` objects, ascending in p."""
+    return [MotohashiPair(p, q, True) for p, q in _admissible_pairs(p_max)]
+
+
+def _admissible_pairs(p_max: int):
+    """Yield (p, q) for each prime p <= p_max, ascending, whose smallest
+    prime q = 1 (mod p) has q^25 < p^41.  The candidates ascend to the
+    float estimate p^(41/25) plus one, which no admissible q exceeds; for
+    odd p they step by 2p, since 1 + kp is even for odd k.  One odd-only
+    sieve of ``_WINDOW`` * p_max + 1 entries gives the odd primes p and, in
+    one strided slice per p, every candidate it holds (1 + j*step is entry
+    j*step/2); ``is_prime`` tests the ones after."""
     if p_max > 10 ** 6:
         raise ValueError("p_max capped at 10^6")
     odd = _odd_sieve(_WINDOW * max(p_max, 0) + 1)
-    pairs = []
-    for p in primes_below(p_max + 1):
+    # entry i of the sieve is 2i + 1, so compress reads off the odd primes
+    for p in chain((2,) if p_max >= 2 else (),
+                   compress(range(1, p_max + 1, 2), odd)):
         step = p if p == 2 else 2 * p
         stop = int(p ** (THETA_NUM / THETA_DEN)) + 2
         half = step // 2    # entry i is 2i + 1, below stop iff i < stop // 2
-        window = odd[half:min(_WINDOW * half + 1, stop // 2):half]
+        window = odd[half:stop // 2:half]   # as far as the sieve reaches
         j = window.find(1) + 1
         if j:
             q = 1 + j * step
@@ -367,8 +383,7 @@ def motohashi_pairs(p_max: int):
             if q is None:
                 continue
         if _admissible(p, q):
-            pairs.append(MotohashiPair(p, q, True))
-    return pairs
+            yield p, q
 
 
 def _odd_sieve(size: int) -> bytearray:
@@ -456,8 +471,7 @@ def perimeter_gap_table(p_max: int):
     product of the primes below d; each row goes back to its place in
     ascending p.
     """
-    pairs = [(pair.p, pair.q) for pair in motohashi_pairs(p_max)
-             if pair.p * pair.p > pair.p + pair.q]
+    pairs = [(p, q) for p, q in _admissible_pairs(p_max) if p * p > p + q]
     primes = primes_below(max((p + q for p, q in pairs), default=0))
     rows = [None] * len(pairs)
     whole = 1

@@ -8,11 +8,11 @@ exactly as "num/den" strings, unreachable distances as the string
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .digraph import INF, UNKNOWN, DirectedCycle, DirectedPath
 
@@ -72,20 +72,46 @@ def dumps(report) -> str:
 
 
 def write_csv(rows, columns) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        # ints and strs pass as they are; a bool's type is not int
-        writer.writerow([v if type(v) is int or type(v) is str
-                         else _csv_cell(v) for v in map(row.get, columns)])
-    return buf.getvalue()
+    """CSV text: a header of ``columns``, then one line per row.  A row is
+    a dict read by column name (a missing key is an empty cell) or a
+    sequence of cells in column order.  A bool is written as 1 or 0, None
+    as an empty cell and any other value as the text of ``jsonable``.
+
+    The bytes are those of ``csv.writer(lineterminator="\\n")`` on Python
+    3.11: a cell is quoted iff it holds a comma, a double quote or a
+    newline, with each double quote doubled; a carriage return stays bare;
+    a line of one empty cell is written as ``""``.  Each line is joined
+    first, and its cells are quoted one by one only when it holds a double
+    quote, a newline or more commas than cells less one: three scans of
+    the line in C, where ``csv.writer`` copies each character."""
+    lines = []
+    for row in chain((columns,), rows):
+        # strs pass as they are, ints as their text; a bool's type is not int
+        cells = [v if type(v) is str else str(v) if type(v) is int
+                 else _csv_cell(v)
+                 for v in (map(row.get, columns) if isinstance(row, dict)
+                           else row)]
+        line = ",".join(cells)
+        if line.count(",") != len(cells) - 1 or '"' in line or "\n" in line:
+            line = ",".join(map(_quoted, cells))
+        elif not line and cells:
+            line = '""'
+        lines.append(line)
+    lines.append("")
+    return "\n".join(lines)
 
 
-def _csv_cell(value):
+def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
-    return jsonable(value)
+    value = jsonable(value)
+    return "" if value is None else str(value)
+
+
+def _quoted(cell: str) -> str:
+    if "," in cell or '"' in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def all_assertions_hold(report) -> bool:

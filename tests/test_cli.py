@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -11,7 +12,9 @@ import pytest
 from vtcycles.cli import build_parser, main
 from vtcycles.digraph import UNKNOWN, read_edge_list
 from vtcycles.gadgets import directed_cycle_product
-from vtcycles.numbergap import perimeter_gap_table
+from vtcycles import cli
+from vtcycles.numbergap import motohashi_pairs, perimeter_gap_table
+from vtcycles.reports import jsonable
 from vtcycles import verify
 from vtcycles.verify import SUITES
 
@@ -302,6 +305,46 @@ def test_search_theorem11_writes_witnesses_past_the_digit_limit(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_search_theorem11_csv_keeps_the_digit_limit(capsys, monkeypatch):
+    # n2 and n reach past 4,300 digits at --max-p 1000; the CSV takes them
+    # from Decimal text, so no int is turned into text past the limit
+    seen = []
+    real = cli.write_csv
+
+    def recording(rows, columns):
+        seen.append(sys.get_int_max_str_digits())
+        return real(rows, columns)
+
+    monkeypatch.setattr(cli, "write_csv", recording)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)    # the interpreter's default
+    try:
+        code, out = run(capsys, "search", "theorem11", "--max-p", "1000")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0 and seen == [4300]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b65e20e1314ac326de4bd99860bcaf6cbebf4ade0456f8aab9ef2e3056a6a02e")
+
+
+def test_search_motohashi_matches_the_pair_route(capsys):
+    # csv.writer over MotohashiPair rows, and jsonable of the pairs
+    pairs = motohashi_pairs(3000)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("p", "q", "bound_ok"))
+    writer.writerows((m.p, m.q, int(m.bound_ok)) for m in pairs)
+    code, out = run(capsys, "search", "motohashi", "--max-p", "3000")
+    assert code == 0 and out == buf.getvalue()
+
+    code, out = run(capsys, "search", "motohashi", "--max-p", "3000",
+                    "--format", "json")
+    report = {"schema": 1, "search": "motohashi", "max_p": 3000,
+              "pairs": jsonable(pairs)}
+    assert code == 0
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
 def test_reports_are_deterministic(capsys):
     _, first = run(capsys, "verify", "figure1", "--max-k", "3")
     _, second = run(capsys, "verify", "figure1", "--max-k", "3")
@@ -390,10 +433,14 @@ def test_verify_runs_the_suite_found_on_the_module(monkeypatch, capsys):
     assert code == 0 and calls == [2]
 
 
-def test_search_motohashi_cap(capsys):
-    code, out = run(capsys, "search", "motohashi", "--max-p", str(10 ** 7))
-    assert code == 2
-    assert "capped" in json.loads(out)["error"]
+def test_search_motohashi_cap(capsys, tmp_path):
+    out_file = tmp_path / "m.csv"
+    for fmt in ("csv", "json"):
+        code, out = run(capsys, "search", "motohashi", "--max-p",
+                        str(10 ** 7), "--format", fmt, "--out", str(out_file))
+        assert code == 2
+        assert "capped" in json.loads(out)["error"]
+        assert not out_file.exists()
 
 
 def _cli_process(argv, log_level):

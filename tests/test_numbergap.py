@@ -262,18 +262,30 @@ def test_motohashi_pairs_match_an_independent_scan():
     assert motohashi_pairs(3000) == expected
 
 
-def test_motohashi_pairs_match_the_per_candidate_scan():
-    # the scan the sieve replaced: is_prime on each candidate in turn
-    expected = []
-    for p in primes_below(10 ** 5 + 1):
+def per_candidate_scan(p_max):
+    """The scan the sieve replaced: is_prime on each candidate in turn."""
+    pairs = []
+    for p in primes_below(p_max + 1):
         step = p if p == 2 else 2 * p
         stop = int(p ** (41 / 25)) + 2
         for q in range(1 + step, stop, step):
             if is_prime(q):
                 if q ** 25 < p ** 41:
-                    expected.append(MotohashiPair(p, q, True))
+                    pairs.append((p, q))
                 break
-    assert motohashi_pairs(10 ** 5) == expected
+    return pairs
+
+
+def test_motohashi_pairs_match_the_per_candidate_scan():
+    # from p_max = 227 on, the sieve's reach rather than the p^(41/25)
+    # stop ends the window of the largest p
+    for p_max in range(301):
+        assert list(numbergap._admissible_pairs(p_max)) == \
+            per_candidate_scan(p_max), p_max
+    expected = per_candidate_scan(10 ** 5)
+    assert list(numbergap._admissible_pairs(10 ** 5)) == expected
+    assert motohashi_pairs(10 ** 5) == [MotohashiPair(p, q, True)
+                                        for p, q in expected]
     assert motohashi_pairs(1) == motohashi_pairs(-5) == []
 
 
@@ -468,7 +480,8 @@ def test_witness_sieves_the_primes_below_d_once(monkeypatch):
     assert wit.certificate.valid and calls == [16]
     calls.clear()
     numbergap.perimeter_gap_table(1000)
-    assert len(calls) == 2      # one for the pairs, one for the whole table
+    # the pairs take their primes from the odd sieve; one for the table
+    assert len(calls) == 1
 
 
 def test_decimal_rows_give_the_text_of_every_int():
