@@ -2,10 +2,16 @@
 
 The exact expansion scan scores every subset (hence the hard cap at n = 20),
 but bit-sliced: subset U is bit U of a Python int, neighbourhood sizes are
-ripple-carry sums held in bit slices, and each step is one big-int operation
-over all 2^n subsets at once.  Every threshold comparison is done in exact
-rational arithmetic: the boundary cases 3|U| = n and 3|U| = 2n must never
-fall to float rounding.
+carry-save sums held in bit slices, and each step is one big-int operation
+over all 2^n subsets at once.  One counter holds min(|N+[U]|, |N-[U]|), and
+a walk down its slices inside each size layer reads that size's least value
+directly.  On a host whose vertex-transitivity a family of automorphisms
+certifies, only the 2^(n-1) subsets through vertex 0 are scored: translating
+a minimizer keeps its size, both neighbourhood sizes and the 2n/3 limit, so
+some minimizer contains 0 (the translates argument the vertex-transitive
+bounds rest on).  Every threshold comparison is done in exact rational
+arithmetic: the boundary cases 3|U| = n and 3|U| = 2n must never fall to
+float rounding.
 """
 
 from __future__ import annotations
@@ -16,9 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .digraph import (Digraph, DirectedCycle, DirectedPath, adjacency_masks,
-                      directed_cycle, directed_path, iter_bits, reacher,
-                      shortest_route)
+from .digraph import (Digraph, DirectedCycle, DirectedPath, directed_cycle,
+                      directed_path, iter_bits, reacher, shortest_route)
 
 EXPANSION_EXACT_MAX = 20
 EXPANSION_SAMPLES = 10_000     # random subsets drawn by expansion_sampled
@@ -42,26 +47,37 @@ class ExpansionReport:
     exact: bool
 
 
-def expansion_exact(D: Digraph) -> ExpansionReport:
-    """Exact expansion minimum, all 2^n subsets scored at once.
+def expansion_exact(D: Digraph, family=None) -> ExpansionReport:
+    """Exact expansion minimum, every subset scored at once.
 
-    Subset U is bit U of every lane (a Python int of 2^n bits), so each step
-    is a few big-int operations over all subsets together:
+    Subset U is bit U of every lane (a Python int with one bit per scored
+    subset), so each step is a few big-int operations over all subsets
+    together, with positive masks only (``x ^ (x & s)`` clears s from x):
 
     1. lane X_j holds the subsets that contain vertex j;
     2. v is in N+[U] exactly when U meets {v} or N-(v), so the OR of those
        X_u marks the subsets where v counts towards |N+[U]| (and likewise
        for N-[U] with N+(v));
-    3. ripple-carry sums of these lanes into bit slices give |N+[U]|,
-       |N-[U]| and |U| for every U;
-    4. for each size k <= 2n/3 the smallest c at which some U of size k has
-       min(|N+[U]|, |N-[U]|) <= c gives that size's best ratio (c - k)/k,
-       compared exactly as a Fraction; the subsets of every size that ties
-       at the minimum are kept as one lane of candidates;
+    3. carry-save sums of these lanes into bit slices give |N+[U]|,
+       |N-[U]| and |U| for every U, and one top-down compare of the first
+       two merges them into one counter min(|N+[U]|, |N-[U]|);
+    4. for each size k <= 2n/3 a walk down that counter's slices inside the
+       size-k layer keeps, slice by slice, the subsets with a 0 there if
+       there are any: it ends at the least c = min(|N+[U]|, |N-[U]|) over
+       the layer, so that size's best ratio (c - k)/k, compared exactly as
+       a Fraction, with exactly the subsets that reach it; those of every
+       size that ties at the minimum are kept as one lane of candidates;
     5. the lexicographically smallest candidate is picked greedily, vertex
-       by vertex: stop once the chosen prefix is itself a candidate, else
-       keep the candidates that contain the next vertex if there are any,
-       and those without it if none do.
+       by vertex: keep the candidates that contain the next vertex if there
+       are any, and stop once the chosen prefix is itself a candidate.
+
+    When ``family.certifies(D)`` holds, only the 2^(n-1) subsets through
+    vertex 0 are scored: lane 0 is all ones and subset U is bit U >> 1.
+    That is exact.  An automorphism that maps a vertex of a minimizer to 0
+    keeps |U|, |N+[U]| and |N-[U]|, hence the ratio and the 2n/3 limit, so
+    some minimizer contains 0, and the lexicographically smallest one then
+    does too.  A family that does not certify D is ignored and all 2^n
+    subsets are scored: the answer never depends on the family.
     """
     n = D.n
     if n < 2:
@@ -70,24 +86,24 @@ def expansion_exact(D: Digraph) -> ExpansionReport:
         raise ValueError(
             f"exact expansion scan is capped at n={EXPANSION_EXACT_MAX}; "
             f"got n={n} (use expansion_sampled)")
-    lanes = _subset_lanes(n)
-    size = _closure_sizes(lanes, [0] * n)   # no neighbours: |U| itself
-    out_size = _closure_sizes(lanes, adjacency_masks(D.inn))
-    in_size = _closure_sizes(lanes, adjacency_masks(D.out))
-    fits = {}   # c -> subsets whose smaller closed neighbourhood has <= c vertices
+    shift = 1 if family is not None and family.certifies(D) else 0
+    full = (1 << (1 << (n - shift))) - 1
+    lanes = [full] + _subset_lanes(n - 1) if shift else _subset_lanes(n)
+    size = _count(lanes)
+    least = _min_counter(_count(_marked(lanes, D.inn)),
+                         _count(_marked(lanes, D.out)), full)
     best, ties = None, 0
     for k in range(1, (2 * n) // 3 + 1):
-        layer = -1
+        hits = full
         for i, s in enumerate(size):
-            layer &= s if k >> i & 1 else ~s
-        c = k
-        while True:
-            if c not in fits:
-                fits[c] = _at_most(out_size, c) | _at_most(in_size, c)
-            hits = layer & fits[c]
-            if hits:
-                break
-            c += 1
+            hits = hits & s if k >> i & 1 else hits ^ (hits & s)
+        c = 0
+        for i in range(len(least) - 1, -1, -1):
+            low = hits ^ (hits & least[i])
+            if low:
+                hits = low
+            else:
+                c |= 1 << i
         ratio = Fraction(c - k, k)
         if best is None or ratio < best:
             best, ties = ratio, hits
@@ -95,58 +111,75 @@ def expansion_exact(D: Digraph) -> ExpansionReport:
             ties |= hits
     chosen = 0
     for j, lane in enumerate(lanes):
-        if ties >> chosen & 1:
-            break
         if ties & lane:
             ties &= lane
             chosen |= 1 << j
-        else:
-            ties &= ~lane
+            if ties >> (chosen >> shift) & 1:
+                break
     return ExpansionReport(best, frozenset(iter_bits(chosen)), True)
 
 
 def _subset_lanes(n: int) -> list:
-    """X_j for j < n: bit U of X_j is set iff vertex j is in subset U.  Each
-    is one period (2^j zeros, then 2^j ones) doubled up to 2^n bits; dividing
-    big ints would be quadratic."""
-    lanes = []
-    for j in range(n):
-        period = 1 << j
-        lane = ((1 << period) - 1) << period
-        period <<= 1
-        while period < 1 << n:
-            lane |= lane << period
-            period <<= 1
+    """X_j for j < n: bit U of X_j is set iff vertex j is in subset U.  The
+    top lane is its upper half of ones, and X_j = X_{j+1} ^ (X_{j+1} >> 2^j)
+    below it: each run of 2^(j+1) ones turns into its upper half and the
+    2^j bits under the run.  Two big-int operations a lane; dividing big
+    ints would be quadratic."""
+    half = 1 << (n - 1)
+    lane = ((1 << half) - 1) << half
+    lanes = [lane]
+    for j in range(n - 2, -1, -1):
+        lane ^= lane >> (1 << j)
         lanes.append(lane)
-    return lanes
+    return lanes[::-1]
 
 
-def _closure_sizes(lanes: list, masks: list) -> list:
-    """|{v : U meets {v} or masks[v]}| for every subset U, as bit slices
-    (slice i holds bit i of each count) summed with a ripple carry."""
-    sizes = [0] * len(masks).bit_length()
-    for v, mask in enumerate(masks):
-        carry = 0
-        for u in iter_bits(mask | 1 << v):
-            carry |= lanes[u]
-        for i, s in enumerate(sizes):
-            if not carry:
-                break
-            sizes[i], carry = s ^ carry, s & carry
-    return sizes
+def _marked(lanes: list, rows):
+    """For each v, the subsets U that meet {v} or rows[v], one lane at a
+    time."""
+    for v, row in enumerate(rows):
+        lane = lanes[v]
+        for u in row:
+            lane |= lanes[u]
+        yield lane
 
 
-def _at_most(slices: list, c: int) -> int:
-    """Subsets whose bit-sliced counter is at most ``c``: the complement of
-    counter > c, found from the top slice down."""
-    above, equal = 0, -1
-    for i in range(len(slices) - 1, -1, -1):
-        if c >> i & 1:
-            equal &= slices[i]
-        else:
-            above |= equal & slices[i]
-            equal &= ~slices[i]
-    return ~above
+def _count(lanes) -> list:
+    """How many of ``lanes`` hold each subset, as bit slices (slice i holds
+    bit i of each count).  Carry-save adders fold the lanes of each weight
+    into one as they arrive, two at a time into a running sum with a carry
+    of the next weight, so m lanes cost about m full adders, and only the
+    carries of the next weight are held at once."""
+    slices, column = [], iter(lanes)
+    total = next(column, None)
+    while total is not None:
+        carries = []
+        for b in column:
+            c = next(column, None)
+            if c is None:
+                carries.append(total & b)
+                total ^= b
+            else:
+                t = total ^ b
+                carries.append(total & b | t & c)
+                total = t ^ c
+        slices.append(total)
+        column = iter(carries)
+        total = next(column, None)
+    return slices
+
+
+def _min_counter(a: list, b: list, full: int) -> list:
+    """min(a, b) of two bit-sliced counters of one width: a compare from the
+    top slice down marks the subsets where a < b (the first slice where
+    they differ has a 0 in a), and each slice takes a's bit there and b's
+    elsewhere."""
+    below, tied = 0, full
+    for x, y in zip(reversed(a), reversed(b)):
+        split = tied & (x ^ y)
+        below |= split & y
+        tied ^= split
+    return [y ^ ((x ^ y) & below) for x, y in zip(a, b)]
 
 
 def expansion_sampled(D: Digraph, seed: int = 0) -> ExpansionReport:

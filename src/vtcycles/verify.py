@@ -19,7 +19,8 @@ from .gadgets import (directed_cycle_product, four_cycle_chain,
                       is_strongly_k_connected, product_cayley_spec,
                       toroidal_gadget, toroidal_translations)
 from .groups import (AutomorphismFamily, CayleySpec, cayley_digraph,
-                     cyclic_group, dihedral_group, direct_product)
+                     cyclic_group, dihedral_group, direct_product,
+                     left_translations)
 from .longcycle import dfs_long_cycle, expansion_exact, long_path
 from .numbergap import divisibility_gap_bound, trotter_erdos_necessary
 from .oracles import (alternating_hamiltonian, induced_cycles,
@@ -174,8 +175,9 @@ def suite_lemma21(corpus=None) -> SuiteResult:
     rows = []
     for name, spec in (corpus or small_cayley_corpus()):
         D = cayley_digraph(spec)
-        report = expansion_exact(D)
-        d = D.directed_diameter()
+        family = left_translations(spec)   # raises unless it certifies D
+        report = expansion_exact(D, family)
+        d = max(D.bfs_distances(0))   # D is transitive: vertex 0's eccentricity
         floor = Fraction(1, 3 * d)
         rows.append({
             "instance": name, "n": D.n, "diameter": d,
@@ -193,7 +195,7 @@ def suite_lemma24(corpus=None) -> SuiteResult:
     rows = []
     for name, spec in (corpus or small_cayley_corpus()):
         D = cayley_digraph(spec)
-        alpha = expansion_exact(D).alpha_lower
+        alpha = expansion_exact(D, left_translations(spec)).alpha_lower
         res = dfs_long_cycle(D, alpha=alpha)
         floor = -(-alpha.numerator * D.n // (3 * alpha.denominator))  # ceil
         rows.append({

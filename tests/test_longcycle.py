@@ -13,7 +13,8 @@ from vtcycles.digraph import Digraph
 from vtcycles.gadgets import (complete_bidirected, cycle_digraph,
                               directed_cycle_product, product_cayley_spec,
                               toroidal_cayley_spec, toroidal_gadget)
-from vtcycles.groups import CayleySpec, cayley_digraph, cyclic_group
+from vtcycles.groups import (AutomorphismFamily, CayleySpec, cayley_digraph,
+                             cyclic_group, left_translations)
 from vtcycles.longcycle import (ExpansionReport, dfs_long_cycle,
                                 expansion_check_transitive_bound,
                                 expansion_exact, expansion_sampled, long_path)
@@ -21,6 +22,7 @@ from vtcycles.oracles import brute_longest_path
 from vtcycles.verify import small_cayley_corpus
 
 from _independent import subset_expansion_minimum
+from test_complete_enumeration import certified_cayley_specs
 
 
 def test_expansion_complete_bidirected_k6():
@@ -59,6 +61,40 @@ def test_expansion_matches_subset_oracle(n, density, rng):
     alpha, witness = subset_expansion_minimum(D)
     rep = expansion_exact(D)
     assert (rep.alpha_lower, rep.witness_set) == (alpha, witness)
+
+
+@settings(max_examples=80, deadline=None)
+@given(certified_cayley_specs(max_n=12))
+def test_certified_expansion_matches_subset_oracle(spec):
+    """The scan of the subsets through vertex 0 that the left translations
+    allow gives the whole report of the scan of every subset."""
+    D = cayley_digraph(spec)
+    rep = expansion_exact(D, left_translations(spec))
+    assert (rep.alpha_lower, rep.witness_set) == subset_expansion_minimum(D)
+
+
+def test_certified_expansion_keeps_the_cap():
+    spec = CayleySpec(cyclic_group(21), (1,))
+    with pytest.raises(ValueError, match="capped"):
+        expansion_exact(cayley_digraph(spec), left_translations(spec))
+
+
+def test_expansion_ignores_a_family_that_does_not_certify():
+    """Bidirected star with centre 0: every minimizer is a set of leaves,
+    so a scan of the subsets through 0 would be wrong.  Neither family
+    certifies it: the rotation of Z7 moves arcs, and the leaf rotation
+    keeps them but fixes 0."""
+    star = Digraph(7, [(0, v) for v in range(1, 7)]
+                   + [(v, 0) for v in range(1, 7)])
+    rotations = left_translations(CayleySpec(cyclic_group(7), (1,)))
+    leaf_turn = AutomorphismFamily(7, generators=[(0, 2, 3, 4, 5, 6, 1)])
+    expected = ExpansionReport(Fraction(1, 4), frozenset({1, 2, 3, 4}), True)
+    assert subset_expansion_minimum(star) == (expected.alpha_lower,
+                                              expected.witness_set)
+    assert expansion_exact(star) == expected
+    for family in (rotations, leaf_turn):
+        assert not family.certifies(star)
+        assert expansion_exact(star, family) == expected
 
 
 @pytest.mark.parametrize("D, alpha, witness", [
