@@ -126,16 +126,22 @@ class _OrbitCount:
     words are rotations of each other, a necklace.  ``add`` sums n*p/L over
     the necklaces it has seen; over every circuit through 0 the sum is the
     cycle count.  Only the arcs of the circuits tallied are labelled, each
-    once, so no table over all n vertices is built."""
+    once, so no table over all n vertices is built.  Consecutive circuits
+    share a prefix, so each word is the previous one's prefix followed by
+    the labels of the new arcs, and p is read off it by divisors of L
+    (:func:`_least_period`), without doubling it."""
 
     def __init__(self, D: Digraph, group):
         self.D = D
         self.group = group
         # arc u -> u*s is labelled s, one character per generator s, so
-        # that words compare, rotate and search as strings
+        # that words compare, rotate and search as strings; ``alphabet``
+        # lists them ascending
         self.chars = {s: chr(i) for i, s in enumerate(D.out[group.identity])}
+        self.alphabet = "".join(self.chars.values())
         self.labels = {}    # u * n + v -> label of the arc u -> v
-        self.letters = []   # labels of the previous circuit's arcs
+        self.word = ""      # the previous circuit's label word
+        self.divisors = {}  # L -> _divisors(L)
         self.seen = set()
         self.cycles = 0
 
@@ -144,35 +150,53 @@ class _OrbitCount:
         are those of the previous circuit passed (as ``_johnson`` yields);
         returns the running sum."""
         chars, mul, inv = self.chars, self.group.mul, self.group.inv
-        labels, n, letters = self.labels, self.D.n, self.letters
-        start = keep - 1 if keep and letters else 0
-        del letters[start:]   # the closing arc's label goes too
+        labels, n, word = self.labels, self.D.n, self.word
+        start = keep - 1 if keep and word else 0   # the closing arc goes too
+        new = []
         for u, v in zip(path[start:], path[start + 1:] + path[:1]):
             arc = u * n + v
             letter = labels.get(arc)
             if letter is None:
                 letter = labels[arc] = chars[mul(inv(u), v)]
-            letters.append(letter)
-        word = "".join(letters)
+            new.append(letter)
+        self.word = word = word[:start] + "".join(new)
         length = len(word)
-        period = (word + word).find(word, 1)
-        necklace = length, _least_rotation(word[:period])
+        divisors = self.divisors.get(length)
+        if divisors is None:
+            divisors = self.divisors[length] = _divisors(length)
+        period = _least_period(word, divisors)
+        least = next(c for c in self.alphabet if c in word)
+        necklace = length, _least_rotation(word[:period], least)
         if necklace not in self.seen:
             self.seen.add(necklace)
-            size, rest = divmod(self.D.n * period, length)
+            size, rest = divmod(n * period, length)
             assert not rest, "a class size n*p/L is not an integer"
             self.cycles += size
         return self.cycles
 
 
-def _least_rotation(word: str) -> str:
-    """The least rotation of a primitive word.  It starts a longest run of
-    the least letter, and each such run starts an occurrence of that run in
-    word + word before the end of word, so only those are compared.  Two
-    of them are at least one letter apart, so each search for the next
-    starts past that letter."""
+def _divisors(length: int) -> tuple:
+    """The divisors of ``length``, ascending."""
+    return tuple(d for d in range(1, length + 1) if length % d == 0)
+
+
+def _least_period(word: str, divisors) -> int:
+    """The least p such that rotating the nonempty ``word`` by p fixes it,
+    ``(word + word).find(word, 1)``, found without doubling the word from
+    ``divisors``, those of L = len(word) ascending: p divides L, and for a
+    divisor d of L the shift test ``word[d:] == word[:L - d]`` holds iff
+    word is a power of word[:d]."""
+    length = len(word)
+    return next(d for d in divisors if word[d:] == word[:length - d])
+
+
+def _least_rotation(word: str, least: str) -> str:
+    """The least rotation of a primitive word whose least letter is
+    ``least``.  It starts a longest run of the least letter, and each such
+    run starts an occurrence of that run in word + word before the end of
+    word, so only those are compared.  Two of them are at least one letter
+    apart, so each search for the next starts past that letter."""
     doubled = word + word
-    least = min(word)
     short, long = 1, len(word)   # run lengths that occur and that do not
     while long - short > 1:
         mid = (short + long) // 2
@@ -225,8 +249,13 @@ def _johnson(D: Digraph, stop=None):
     blist = [[] for _ in range(n)]
     for root in range(n if stop is None else stop):
         back = reach_back(root, -1 << root)
+        # when root reaches back from every vertex >= root, a row with no
+        # vertex below root is kept whole
+        whole = back == (1 << n) - (1 << root)
         for v in iter_bits(back):
-            adj[v] = tuple(w for w in D.out[v] if back >> w & 1)
+            row = D.out[v]
+            adj[v] = (row if whole and row[:1] >= (root,)
+                      else tuple(w for w in row if back >> w & 1))
             blocked[v] = False
             blist[v].clear()
         if not adj[root]:

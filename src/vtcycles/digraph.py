@@ -208,7 +208,8 @@ def _fill(classes, n: int, start: int, allowed: int) -> int:
     ``reached`` holds what it reached before the class in fewer than 2^k
     steps of d, and ``pro`` the heads whose last 2^k steps of d are all arcs
     inside ``allowed``.  The rounds stop once one adds nothing or 2^k * d is
-    a multiple of n; the classes are swept until a sweep adds nothing."""
+    a multiple of n; the classes are swept until a sweep adds nothing, or
+    until every vertex of ``allowed`` is reached."""
     allowed &= (1 << n) - 1
     reached, before = 1 << start, 0
     while reached != before:
@@ -223,6 +224,8 @@ def _fill(classes, n: int, start: int, allowed: int) -> int:
                 reached = gen
                 pro &= pro << s | pro >> (n - s)
                 s = 2 * s % n
+            if reached == allowed:   # no class can add a vertex
+                return reached
     return reached
 
 
@@ -262,21 +265,22 @@ class Digraph:
     def __init__(self, n: int, arcs):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        seen = set()
+        heads = [set() for _ in range(n)]   # one set per tail
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            seen.add((u, v))
-        out = [[] for _ in range(n)]
+            heads[u].add(v)
+        out = tuple(tuple(sorted(vs)) for vs in heads)
+        del heads   # freed before inn is built: the peak of large hosts
         inn = [[] for _ in range(n)]
-        for u, v in sorted(seen):
-            out[u].append(v)
-            inn[v].append(u)
+        for u, vs in enumerate(out):   # ascending tails: sorted rows
+            for v in vs:
+                inn[v].append(u)
         self.n = n
-        self.out = tuple(tuple(vs) for vs in out)
-        self.inn = tuple(tuple(vs) for vs in inn)
+        self.out = out
+        self.inn = tuple(tuple(us) for us in inn)
 
     @property
     def arc_count(self) -> int:

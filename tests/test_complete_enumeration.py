@@ -239,7 +239,16 @@ def test_orbit_count_of_the_cycles_through_0_is_the_cycle_count(spec):
 def test_least_rotation_of_a_primitive_word_is_the_least_of_all(text):
     word = text[:(text + text).find(text, 1)]
     rotations = [word[i:] + word[:i] for i in range(len(word))]
-    assert cyclegraph._least_rotation(word) == min(rotations)
+    assert cyclegraph._least_rotation(word, min(word)) == min(rotations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="abc", min_size=1, max_size=8),
+       st.integers(min_value=1, max_value=6))
+def test_least_period_by_divisors_is_the_doubled_word_search(root, k):
+    word = root * k
+    period = cyclegraph._least_period(word, cyclegraph._divisors(len(word)))
+    assert period == (word + word).find(word, 1)
 
 
 @pytest.fixture

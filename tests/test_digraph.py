@@ -47,6 +47,30 @@ def test_build_deduplicates():
     assert d.arc_count == 2
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=30))))
+def test_build_matches_the_sorted_arc_set(case):
+    n, arcs = case
+    bad = next(((u, v) for u, v in arcs
+                if not (0 <= u < n and 0 <= v < n) or u == v), None)
+    if bad is not None:
+        u, v = bad
+        message = (f"self-loop at vertex {u}" if 0 <= u < n and u == v
+                   else f"arc ({u},{v}) out of range for n={n}")
+        with pytest.raises(ValueError) as err:
+            Digraph(n, arcs)
+        assert str(err.value) == message
+        return
+    unique = sorted(set(arcs))
+    D = Digraph(n, arcs + arcs[::2])   # with repeats
+    assert D.out == tuple(tuple(v for a, v in unique if a == u)
+                          for u in range(n))
+    assert D.inn == tuple(tuple(u for u, b in unique if b == v)
+                          for v in range(n))
+
+
 def test_neighborhoods_triangle():
     t = triangle()
     assert t.out_neighborhood({0}) == {1}

@@ -7,14 +7,14 @@ oracles or meet the floors they claim.
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vtcycles.automorphisms import (automorphism_family_by_search,
-                                    is_vertex_transitive)
+                                    find_automorphism, is_vertex_transitive)
 from vtcycles.digraph import (INF, UNKNOWN, Digraph, DirectedCycle, Graph,
                               _fill, adjacency_masks, bitset_bfs, iter_bits,
                               reacher, shift_classes)
@@ -53,6 +53,42 @@ def strong_cores(draw, max_n=7):
     backward = D.bfs_distances(0, reverse=True)
     core = [v for v in range(n) if forward[v] != INF and backward[v] != INF]
     return D.induced_subdigraph(core)[0]
+
+
+@st.composite
+def copies_with_extra_arcs(draw, max_n=6):
+    """c relabelled copies of a random digraph on m vertices (c = 1 gives
+    any digraph) plus up to two extra arcs, with m*c <= max_n, and two of
+    its vertices: hosts with many look-alike vertices, transitive or not."""
+    m = draw(st.integers(min_value=1, max_value=max_n))
+    c = draw(st.integers(min_value=1, max_value=max_n // m))
+    n = m * c
+    piece = draw(st.sets(st.sampled_from(
+        [(u, v) for u in range(m) for v in range(m) if u != v]))) if m > 1 else set()
+    arcs = [(u + i * m, v + i * m) for i in range(c) for u, v in piece]
+    arcs += [(u, v) for u, v in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2))
+        if u != v]
+    relabel = draw(st.permutations(range(n)))
+    D = Digraph(n, [(relabel[u], relabel[v]) for u, v in arcs])
+    return D, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(copies_with_extra_arcs())
+# 3 -> 0 must not send 1 to 1: only the in-arc 0 -> 1 rules that out
+@example((Digraph(4, [(0, 1), (3, 2)]), 3, 0))
+def test_find_automorphism_matches_every_permutation(case):
+    """A map s -> t is found exactly when some permutation taking s to t
+    preserves the arc set, and every map found does."""
+    D, s, t = case
+    exists = any(preserves_arc_set(D, perm)
+                 for perm in permutations(range(D.n)) if perm[s] == t)
+    image = find_automorphism(D, s, t)
+    assert image is not UNKNOWN
+    assert (image is not None) == exists
+    if image is not None:
+        assert image[s] == t and preserves_arc_set(D, image)
 
 
 @settings(max_examples=60, deadline=None)
