@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import logging
 import os
+import shutil
 import sys
 
 from .automorphisms import automorphism_family_by_search
@@ -26,8 +28,8 @@ from .longcycle import (dfs_long_cycle, expansion_check_transitive_bound,
                         EXPANSION_EXACT_MAX)
 from .cyclegraph import (DEFAULT_MAX_COUNT, cycle_graph_diameter_check,
                          pipeline_n13)
-from .numbergap import (_admissible_pairs, _decimal_rows, motohashi_pairs,
-                        perimeter_gap_table, search_prime_partitionable)
+from .numbergap import (_admissible_pairs, _decimal_rows, perimeter_gap_table,
+                        search_prime_partitionable)
 from .reports import all_assertions_hold, dump, make_report, write_csv
 from . import verify as V
 
@@ -49,12 +51,17 @@ def _add_report_flags(parser):
 
 
 def build_parser():
+    # argparse's own width rule, with the terminal asked once, not once per
+    # formatter it builds (one for every argument added)
+    width = shutil.get_terminal_size().columns - 2
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
     parser = argparse.ArgumentParser(
-        prog="vtc",
+        prog="vtc", formatter_class=formatter,
         description="long directed cycles in vertex-transitive digraphs")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, formatter_class=formatter)
 
-    c = sub.add_parser("construct", help="generate an instance file")
+    c = add_parser("construct", help="generate an instance file")
     c.add_argument("kind", choices=["cayley", "product", "figure1", "toroidal"])
     c.add_argument("--group", help="cayley: 'cyclic n' | 'product n1 n2' | 'dihedral m'")
     c.add_argument("--gens", help="cayley: generator list, e.g. '(1,0),(0,1)' or '1,3'")
@@ -66,7 +73,7 @@ def build_parser():
     c.add_argument("--dot", help="also write a DOT rendering here")
     c.set_defaults(run=cmd_construct)
 
-    a = sub.add_parser("analyze", help="run analyses on an edge-list file")
+    a = add_parser("analyze", help="run analyses on an edge-list file")
     a.add_argument("file")
     a.add_argument("--which", default="diameter",
                    help="comma list from: " + ",".join(ANALYZE_OPS))
@@ -79,7 +86,7 @@ def build_parser():
                    help="seed of the sampled expansion bound")
     a.set_defaults(run=cmd_analyze)
 
-    v = sub.add_parser("verify", help="run a verification suite")
+    v = add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=list(V.SUITES))
     v.add_argument("--max-order", type=int)
     v.add_argument("--max-k", type=int)
@@ -87,7 +94,7 @@ def build_parser():
     _add_report_flags(v)
     v.set_defaults(run=cmd_verify)
 
-    s = sub.add_parser("search", help="arithmetic searches")
+    s = add_parser("search", help="arithmetic searches")
     s.add_argument("kind", choices=["prime-partitionable", "motohashi", "theorem11"],
                    help="motohashi lists each prime p <= --max-p whose least "
                         "prime q = 1 (mod p) has q^25 < p^41; its bound_ok "
@@ -101,10 +108,13 @@ def build_parser():
 
 
 def _emit(args, payload, table=None) -> None:
-    """Write payload as JSON, or table = (rows, columns) as CSV under
-    --format csv, to the --out file or to stdout.  The CSV is built before
-    the file is opened, so rows that raise leave no file behind."""
-    text = write_csv(*table) if table and args.fmt == "csv" else None
+    """Write payload as JSON, or under --format csv table = (rows, columns)
+    as CSV (or table itself when it is the CSV text already), to the --out
+    file or to stdout.  The CSV is built before the file is opened, so rows
+    that raise leave no file behind."""
+    text = None
+    if table and args.fmt == "csv":
+        text = table if isinstance(table, str) else write_csv(*table)
     with (open(args.out, "w", encoding="utf-8") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
         if text is None:
@@ -281,14 +291,17 @@ def cmd_search(args) -> int:
         _emit(args, {"schema": 1, "search": args.kind, "max_d": args.max_d,
                      "hits": payload})
         return 0
-    if args.kind == "motohashi":
-        if args.fmt == "csv":   # plain (p, q) ints, no MotohashiPair
-            rows = ((p, q, True) for p, q in _admissible_pairs(args.max_p))
-            _emit(args, None, (rows, ("p", "q", "bound_ok")))
+    if args.kind == "motohashi":   # plain (p, q) ints, no MotohashiPair
+        pairs = _admissible_pairs(args.max_p)
+        if args.fmt == "csv":
+            # every cell is an int, so these are the bytes of write_csv
+            _emit(args, None, "p,q,bound_ok\n" + "".join(
+                f"{p},{q},1\n" for p, q in pairs))
         else:
             _emit(args, {"schema": 1, "search": args.kind,
                          "max_p": args.max_p,
-                         "pairs": motohashi_pairs(args.max_p)})
+                         "pairs": [{"p": p, "q": q, "bound_ok": True}
+                                   for p, q in pairs]})
         return 0
     rows = perimeter_gap_table(args.max_p)
     if args.fmt == "csv":

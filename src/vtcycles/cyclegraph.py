@@ -7,7 +7,7 @@ Cycle enumeration is exponential in general, so its one full entry point,
 ``complete_directed_cycles``, carries a count cap: past the cap it returns
 None and builds no cycle, and every conclusion that needs the complete
 cycle set is withheld.  On a host certified vertex-transitive,
-``_cycles_through_0`` walks only the cycles through vertex 0.
+``_circuits_through_0`` walks only the cycles through vertex 0.
 
 On a certified Cayley host Cay(G, S) the cap can be proved exceeded long
 before the walk reaches it.  Every cycle is a translate of one through
@@ -312,14 +312,21 @@ def _johnson(D: Digraph, stop=None):
                             waiting.append(v)
 
 
-def _cycles_through_0(D: Digraph, family: AutomorphismFamily) -> list:
-    """The cycles through 0 of a host on at most 20 vertices that ``family``
-    certifies vertex-transitive, as vertex tuples from 0 in walk order;
-    ``ValueError`` otherwise."""
+def _circuits_through_0(D: Digraph, family: AutomorphismFamily):
+    """Johnson's walk over the cycles through 0, ``_johnson(D, 1)``, of a
+    host on at most 20 vertices that ``family`` certifies
+    vertex-transitive; both are checked before the walk is returned, and
+    ``ValueError`` is raised otherwise."""
     Budget.over(D.n)
     if not family.certifies(D):
         raise ValueError("family does not certify the host vertex-transitive")
-    return [tuple(path) for _, path in _johnson(D, 1)]
+    return _johnson(D, 1)
+
+
+def _cycles_through_0(D: Digraph, family: AutomorphismFamily) -> list:
+    """The circuits of ``_circuits_through_0`` as vertex tuples from 0, in
+    walk order."""
+    return [tuple(path) for _, path in _circuits_through_0(D, family)]
 
 
 # --- the intersection graph -------------------------------------------------
@@ -330,11 +337,20 @@ class CycleGraph:
     list of ``complete_directed_cycles``.
 
     ``graph`` is the undirected adjacency over cycle indices; two indices
-    are adjacent iff the cycles share a vertex.
+    are adjacent iff the cycles share a vertex.  ``masks[i]`` is the host
+    vertex set of cycle i as a bitmask; ``build_cycle_graph`` records it
+    while it visits the cycles, and it is built from ``cycles`` when not
+    given.
     """
 
     cycles: tuple
     graph: Graph
+    masks: tuple = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.masks is None:
+            object.__setattr__(self, "masks", tuple(
+                sum(1 << v for v in c.vertices) for c in self.cycles))
 
     @property
     def order(self) -> int:
@@ -351,9 +367,13 @@ def build_cycle_graph(D: Digraph, cycles) -> CycleGraph:
     """
     k = len(cycles)
     vert_mask = [0] * D.n
+    masks = []
     for i, c in enumerate(cycles):
+        bit, mask = 1 << i, 0
         for v in c.vertices:
-            vert_mask[v] |= 1 << i
+            vert_mask[v] |= bit
+            mask |= 1 << v
+        masks.append(mask)
 
     neighbors = []
     for i, c in enumerate(cycles):
@@ -374,7 +394,7 @@ def build_cycle_graph(D: Digraph, cycles) -> CycleGraph:
             assert graph.has_edge(i, j) == shares, \
                 f"intersection adjacency mismatch at pair ({i},{j})"
 
-    return CycleGraph(tuple(cycles), graph)
+    return CycleGraph(tuple(cycles), graph, tuple(masks))
 
 
 def cycle_graph_diameter_check(D: Digraph, max_count=None) -> dict:
@@ -428,11 +448,26 @@ def _first_bad_pair(G: Graph, seq, closed: bool):
 
 
 def _verify_induced_cycle(graph: Graph, seq) -> None:
+    """Raise ``StitchError`` unless seq is an induced cycle of length >= 4
+    of ``graph``.  Inside the vertex set of seq, each position must be
+    adjacent to exactly its two cyclic neighbours, k mask compares; only
+    when one fails does ``_first_bad_pair`` find the pair to report."""
     k = len(seq)
     if k < 4:
         raise StitchError(f"need an induced cycle of length >= 4, got {k}")
     if len(set(seq)) != k:
         raise StitchError("index sequence repeats a cycle")
+    inside = 0
+    for i in seq:
+        inside |= 1 << i
+    masks = graph.masks
+    prev, here = seq[-2], seq[-1]
+    for after in seq:
+        if masks[here] & inside != (1 << prev) | (1 << after):
+            break
+        prev, here = here, after
+    else:
+        return
     bad = _first_bad_pair(graph, seq, closed=True)
     if bad is not None:
         i, j = bad
@@ -441,17 +476,15 @@ def _verify_induced_cycle(graph: Graph, seq) -> None:
         raise StitchError(f"positions {i},{j} not adjacent")
 
 
-def _walk_until(cycle: DirectedCycle, start: int, targets: frozenset) -> list:
-    """Follow the cycle from ``start`` to the first vertex in ``targets``;
-    returns the segment including both endpoints."""
+def _walk_until(cycle: DirectedCycle, start: int, targets: int) -> list:
+    """Follow the cycle from ``start`` to the first vertex in the bitmask
+    ``targets``; returns the segment including both endpoints."""
     verts = cycle.vertices
     pos = verts.index(start)
-    seg = [start]
-    for step in range(1, len(verts) + 1):
-        v = verts[(pos + step) % len(verts)]
-        seg.append(v)
-        if v in targets:
-            return seg
+    ring = verts[pos:] + verts[:pos + 1]
+    for end, v in enumerate(ring[1:], 2):
+        if targets >> v & 1:
+            return list(ring[:end])
     raise StitchError("walk never reached the target cycle")
 
 
@@ -462,27 +495,26 @@ def stitch_directed_cycle(D: Digraph, cg: CycleGraph, induced_seq) -> DirectedCy
     Walks each constituent cycle from its entry vertex to the first vertex
     of the next one (ties broken by the cyclic order of the canonical
     rotation), having first picked entry vertices v1, v2 on the opening
-    cycle whose connecting segment avoids both neighbors.  Validity and the
-    length floor are asserted on every call.
+    cycle whose connecting segment avoids both neighbors.  Membership is
+    read off the vertex masks ``cg.masks`` of the cycles.  Validity and
+    the length floor are asserted on every call.
     """
     seq = list(induced_seq)
     _verify_induced_cycle(cg.graph, seq)
     k = len(seq)
     cycs = [cg.cycles[i] for i in seq]
-    first, second, last = cycs[0], cycs[1], cycs[-1]
-    set_second = second.vertex_set()
-    set_last = last.vertex_set()
+    first, last = cycs[0], cycs[-1]
+    second_mask, last_mask = cg.masks[seq[1]], cg.masks[seq[-1]]
 
     v1 = v2 = None
     verts = first.vertices
     for p, cand in enumerate(verts):
-        if cand not in set_last:
+        if not last_mask >> cand & 1:
             continue
-        for step in range(1, len(verts)):
-            w = verts[(p + step) % len(verts)]
-            if w in set_last:
+        for w in verts[p + 1:] + verts[:p]:
+            if last_mask >> w & 1:
                 break
-            if w in set_second:
+            if second_mask >> w & 1:
                 v1, v2 = cand, w
                 break
         if v1 is not None:
@@ -490,14 +522,14 @@ def stitch_directed_cycle(D: Digraph, cg: CycleGraph, induced_seq) -> DirectedCy
     if v1 is None:
         raise StitchError("no opening segment from the last to the second cycle")
 
-    segment = _walk_until(first, v1, frozenset([v2]))
+    segment = _walk_until(first, v1, 1 << v2)
     vertices = segment[:-1]
     entry = v2
     for idx in range(1, k - 1):
-        seg = _walk_until(cycs[idx], entry, cycs[idx + 1].vertex_set())
+        seg = _walk_until(cycs[idx], entry, cg.masks[seq[idx + 1]])
         vertices.extend(seg[:-1])
         entry = seg[-1]
-    closing = _walk_until(last, entry, frozenset([v1]))
+    closing = _walk_until(last, entry, 1 << v1)
     vertices.extend(closing[:-1])
 
     stitched = directed_cycle(D, vertices)

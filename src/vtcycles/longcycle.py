@@ -61,12 +61,14 @@ def expansion_exact(D: Digraph, family=None) -> ExpansionReport:
     3. carry-save sums of these lanes into bit slices give |N+[U]|,
        |N-[U]| and |U| for every U, and one top-down compare of the first
        two merges them into one counter min(|N+[U]|, |N-[U]|);
-    4. for each size k <= 2n/3 a walk down that counter's slices inside the
-       size-k layer keeps, slice by slice, the subsets with a 0 there if
-       there are any: it ends at the least c = min(|N+[U]|, |N-[U]|) over
-       the layer, so that size's best ratio (c - k)/k, compared exactly as
-       a Fraction, with exactly the subsets that reach it; those of every
-       size that ties at the minimum are kept as one lane of candidates;
+    4. for each size k <= 2n/3 (its layer of subsets built from the partial
+       ANDs it shares with k - 1 over their common top size bits) a walk
+       down that counter's slices inside the size-k layer keeps, slice by
+       slice, the subsets with a 0 there if there are any: it ends at the
+       least c = min(|N+[U]|, |N-[U]|) over the layer, so that size's best
+       ratio (c - k)/k, compared exactly as a Fraction, with exactly the
+       subsets that reach it; those of every size that ties at the minimum
+       are kept as one lane of candidates;
     5. the lexicographically smallest candidate is picked greedily, vertex
        by vertex: keep the candidates that contain the next vertex if there
        are any, and stop once the chosen prefix is itself a candidate.
@@ -93,10 +95,18 @@ def expansion_exact(D: Digraph, family=None) -> ExpansionReport:
     least = _min_counter(_count(_marked(lanes, D.inn)),
                          _count(_marked(lanes, D.out)), full)
     best, ties = None, 0
+    # layer[i]: the subsets whose size agrees with k on bits i and up, so
+    # the size-k layer is layer[0].  Built here for k = 0; each k rebuilds
+    # only layer[t], ..., layer[0], t the top bit it changed from k - 1,
+    # about two ANDs per k
+    layer = [full]
+    for s in reversed(size):
+        layer.insert(0, layer[0] ^ (layer[0] & s))
     for k in range(1, (2 * n) // 3 + 1):
-        hits = full
-        for i, s in enumerate(size):
-            hits = hits & s if k >> i & 1 else hits ^ (hits & s)
+        for i in range((k ^ (k - 1)).bit_length() - 1, -1, -1):
+            above, s = layer[i + 1], size[i]
+            layer[i] = above & s if k >> i & 1 else above ^ (above & s)
+        hits = layer[0]
         c = 0
         for i in range(len(least) - 1, -1, -1):
             low = hits ^ (hits & least[i])

@@ -11,10 +11,10 @@ sieve (``_admissible_pairs``), which lists the odd primes p and, in one
 strided slice per p, every candidate 1 + 2jp it holds, at least 16 of
 them; only a p with no prime among them (2,147 of the 78,498 up to 10^6)
 goes on with ``is_prime``.  ``motohashi_pairs`` wraps them as
-``MotohashiPair``; ``perimeter_gap_table`` and the CSV of ``vtc search
-motohashi`` take them as plain ints.  ``is_prime`` settles n < 1000^2, and n
-with a prime factor below 1,000, by one gcd, runs the fewest proven
-Miller-Rabin bases on the rest (at most four for every q that
+``MotohashiPair``; ``perimeter_gap_table`` and both reports of ``vtc
+search motohashi`` take them as plain ints.  ``is_prime`` settles
+n < 1000^2, and n with a prime factor below 1,000, by one gcd, runs the
+fewest proven Miller-Rabin bases on the rest (at most four for every q that
 ``motohashi_pairs(10**6)`` hands it) and refuses n it cannot decide.
 
 The gcd-split condition and the witness table ask for the first split

@@ -323,9 +323,11 @@ def _induced_closures(G: Graph, min_len: int, spent: Budget, floor=None):
     root that are off the path and not adjacent to its interior: ``ext``
     (not adjacent to root; the path may grow through them) and ``close``
     (adjacent to root).  Before descending into extension w the walk yields
-    the closers below w; a finished frame yields the rest.  One node of
-    ``spent`` is charged per path start and per extension, and the walk
-    ends at the first refused node, after the closers below it.
+    the closers below w; a finished frame yields the rest.  An extension
+    with no ``ext`` candidates is a leaf: it yields its closers on the live
+    path and is popped at once, with no frame.  One node of ``spent`` is
+    charged per path start and per extension, and the walk ends at the
+    first refused node, after the closers below it.
 
     A start a is dead when no neighbor of a lies above root off root's
     neighborhood (``far``): no path grows through it and it closes only
@@ -369,12 +371,18 @@ def _induced_closures(G: Graph, min_len: int, spent: Budget, floor=None):
             frames = []  # frames[i] extends path[i + 1]
             visited, blocked = 1 << root, 0
             while wb:
-                # enter wb, then open its frame
+                # enter wb, then open its frame unless it is a leaf
                 path.append(wb.bit_length() - 1)
                 visited |= wb
                 cand = adj_masks[path[-1]] & above & ~visited & ~blocked
                 close = cand & closing if len(path) >= shortest - 1 else 0
-                frames.append([cand & ~root_adj, close, visited, blocked])
+                ext = cand & ~root_adj
+                if ext:
+                    frames.append([ext, close, visited, blocked])
+                else:   # a leaf: its frame would close at once
+                    if close:
+                        yield path, close
+                    path.pop()
                 # find the next extension, closing finished frames
                 wb = 0
                 while frames and not wb:

@@ -8,11 +8,9 @@ under ``vtc verify``.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from operator import eq
 
 from .digraph import Digraph, UNKNOWN
 from .gadgets import (directed_cycle_product, four_cycle_chain,
@@ -25,7 +23,7 @@ from .longcycle import dfs_long_cycle, expansion_exact, long_path
 from .numbergap import divisibility_gap_bound, trotter_erdos_necessary
 from .oracles import (alternating_hamiltonian, induced_cycles,
                       max_disjoint_cycles)
-from .cyclegraph import (_cycles_through_0, build_cycle_graph,
+from .cyclegraph import (_circuits_through_0, build_cycle_graph,
                          complete_directed_cycles, stitch_directed_cycle)
 
 
@@ -71,11 +69,24 @@ def suite_trotter_erdos(max_order: int = 24) -> SuiteResult:
                                      "condition", "split", "ok"), rows)
 
 
-def _arc_type_counts(succ1, verts) -> tuple:
-    """How many arcs of a product cycle move each coordinate: ``succ1[u]``
-    is u's (1,0)-successor, never its (0,1)-successor when n1, n2 >= 2."""
-    t1 = sum(map(eq, map(succ1.__getitem__, verts), verts[1:] + verts[:1]))
-    return t1, len(verts) - t1
+def _arc_type_stream(succ1, circuits):
+    """Yield (L, t1) for each of ``circuits``, the (keep, path) pairs of
+    Johnson's walk from root 0: the circuit's length and how many of its
+    arcs u -> v have v = ``succ1[u]``.  ``ones[i]`` counts those arcs on
+    path[:i + 1].  As path[:keep] is unchanged since the previous circuit,
+    so is ones[:keep]: only ones[max(keep, 1):] is recounted, from the new
+    vertices, and the closing arc path[-1] -> 0 is added."""
+    ones = [0] * len(succ1)
+    for keep, path in circuits:
+        i = max(keep, 1)
+        count, u = ones[i - 1], path[i - 1]
+        for v in path[i:]:
+            if succ1[u] == v:
+                count += 1
+            ones[i] = count
+            i += 1
+            u = v
+        yield len(path), count + (succ1[u] == 0)
 
 
 def suite_divisibility(max_order: int = 20) -> SuiteResult:
@@ -85,10 +96,12 @@ def suite_divisibility(max_order: int = 20) -> SuiteResult:
 
     Only the cycles through 0 are walked, on the product certified by the
     left translations of Z_n1 x Z_n2, whose generator rows
-    ``_cycles_through_0`` checks against its arcs.  Every cycle is a
+    ``_circuits_through_0`` checks against its arcs.  Every cycle is a
     translate g*C of one of them with the same arc types, as g maps arc
     x -> x*s to gx -> gx*s.  A length L has n*c0(L)/L cycles, c0(L) through 0, as
-    each is counted once at each of its L vertices."""
+    each is counted once at each of its L vertices.  No circuit is copied:
+    each one's arc types come from the prefix it shares with the previous
+    one (``_arc_type_stream``), and its length is tallied."""
     rows = []
     for n1, n2 in product_pairs(max_order):
         D = directed_cycle_product(n1, n2)
@@ -96,15 +109,15 @@ def suite_divisibility(max_order: int = 20) -> SuiteResult:
         g = direct_product(cyclic_group(n1), cyclic_group(n2))
         family = AutomorphismFamily(D.n, generators=(g.row(n2), g.row(1)),
                                     group=g)
-        through0 = _cycles_through_0(D, family)
         d = gcd(n1, n2)
         succ1 = [(u + n2) % D.n for u in range(D.n)]   # (a, b) is a*n2 + b
         lengths_ok = True
-        for c in through0:
-            t1, t2 = _arc_type_counts(succ1, c)
-            if t1 % n1 or t2 % n2 or len(c) % d:
+        tally = [0] * (D.n + 1)
+        for L, t1 in _arc_type_stream(succ1, _circuits_through_0(D, family)):
+            tally[L] += 1
+            if t1 % n1 or (L - t1) % n2 or L % d:
                 lengths_ok = False
-        per_length = Counter(map(len, through0))
+        per_length = {L: c0 for L, c0 in enumerate(tally) if c0}
         assert all(D.n * c0 % L == 0 for L, c0 in per_length.items())
         count = sum(D.n * c0 // L for L, c0 in per_length.items())
         circumference = max(per_length)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -375,6 +376,28 @@ def test_verify_parser_accepts_every_suite():
     parser = build_parser()
     for suite in SUITES:
         assert parser.parse_args(["verify", suite]).suite == suite
+
+
+def _parsers(parser) -> list:
+    """The parser and the parser of each of its subcommands."""
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return [parser, *sub.choices.values()]
+
+
+def test_help_is_that_of_the_default_formatter(monkeypatch):
+    seen = []
+    for columns in ("50", "200"):
+        # the default formatter asks the terminal, here COLUMNS, on each use
+        monkeypatch.setenv("COLUMNS", columns)
+        texts = [p.format_help() for p in _parsers(build_parser())]
+        default = _parsers(build_parser())
+        for p in default:
+            p.formatter_class = argparse.HelpFormatter
+        assert texts == [p.format_help() for p in default]
+        assert len(texts) == 5
+        seen.append(texts)
+    assert all(narrow != wide for narrow, wide in zip(*seen))
 
 
 def test_verify_divisibility_names_its_order_cap(capsys):

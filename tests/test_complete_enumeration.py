@@ -11,6 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from math import gcd
+from operator import eq
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,14 +19,16 @@ from hypothesis import strategies as st
 
 from vtcycles import cyclegraph, groups
 from vtcycles.automorphisms import automorphism_family_by_search
-from vtcycles.cyclegraph import (_cycles_through_0, complete_directed_cycles,
+from vtcycles.cyclegraph import (_circuits_through_0, _cycles_through_0,
+                                 complete_directed_cycles,
                                  cycle_graph_diameter_check, pipeline_n13)
 from vtcycles.digraph import Digraph
 from vtcycles.gadgets import (cycle_digraph, directed_cycle_product,
                               four_cycle_chain, product_cayley_spec)
 from vtcycles.groups import (AutomorphismFamily, CayleySpec, cayley_digraph,
                              cyclic_group, dihedral_group, left_translations)
-from vtcycles.verify import product_pairs, stitch_hosts, suite_divisibility
+from vtcycles.verify import (_arc_type_stream, product_pairs, stitch_hosts,
+                             suite_divisibility)
 
 from _independent import dfs_cycles_in_order
 
@@ -317,6 +320,42 @@ def test_cycles_through_0_keep_the_exact_cap_on_certified_hosts():
     assert left_translations(spec).certifies(D)
     with pytest.raises(ValueError, match="n=21"):
         _cycles_through_0(D, left_translations(spec))
+
+
+def _arc_type_counts(succ1, verts) -> tuple:
+    """How many arcs u -> v of the closed vertex sequence have v =
+    ``succ1[u]``, and how many do not, counted over the whole sequence."""
+    t1 = sum(map(eq, map(succ1.__getitem__, verts), verts[1:] + verts[:1]))
+    return t1, len(verts) - t1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=5),
+       st.integers(min_value=2, max_value=5))
+@example(2, 2)   # its third circuit, (0, 2), shares only vertex 0: keep 1
+def test_arc_types_from_the_shared_prefix_are_those_of_each_circuit(n1, n2):
+    assume(n1 * n2 <= 16)
+    D = directed_cycle_product(n1, n2)
+    family = left_translations(product_cayley_spec(n1, n2))
+    keeps = [keep for keep, _ in _circuits_through_0(D, family)]
+    assert keeps[0] == 0 and 1 in keeps
+    circuits = _cycles_through_0(D, family)
+    # the (1,0)- and the (0,1)-successor of (a, b) = a*n2 + b
+    for succ in ([(u + n2) % D.n for u in range(D.n)],
+                 [u - u % n2 + (u + 1) % n2 for u in range(D.n)]):
+        stream = list(_arc_type_stream(succ, _circuits_through_0(D, family)))
+        assert stream == [(len(c), _arc_type_counts(succ, c)[0])
+                          for c in circuits]
+
+
+def test_circuits_through_0_check_the_host_before_the_walk():
+    D = four_cycle_chain(3)
+    rotations = left_translations(CayleySpec(cyclic_group(12), (1,)))
+    with pytest.raises(ValueError, match="certify"):
+        _circuits_through_0(D, rotations)   # raised without a next()
+    spec = product_cayley_spec(3, 7)
+    with pytest.raises(ValueError, match="n=21"):
+        _circuits_through_0(cayley_digraph(spec), left_translations(spec))
 
 
 def test_divisibility_certifies_each_product_once(monkeypatch):

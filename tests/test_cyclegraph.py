@@ -1,6 +1,8 @@
 import hashlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vtcycles import cyclegraph
 from vtcycles.digraph import Digraph, Graph
@@ -9,8 +11,10 @@ from vtcycles.gadgets import (cycle_digraph, directed_cycle_product,
                               toroidal_translations, product_cayley_spec)
 from vtcycles.groups import AutomorphismFamily, left_translations
 from vtcycles.oracles import brute_longest_cycle, induced_cycles
-from vtcycles.cyclegraph import (EnumerationIncomplete, StitchError,
+from vtcycles.cyclegraph import (CycleGraph, EnumerationIncomplete,
+                                 StitchError, _first_bad_pair,
                                  _longest_induced_path_with_geodesic_tail,
+                                 _verify_induced_cycle,
                                  build_cycle_graph, complete_directed_cycles,
                                  cycle_graph_diameter_check,
                                  induced_cycle_via_symmetry,
@@ -208,6 +212,66 @@ def test_stitch_rejects_short_and_chorded_input():
     broken = [order[0], order[2], order[1], order[3], order[4]]
     with pytest.raises(StitchError):
         stitch_directed_cycle(five, cg5, broken)
+
+
+def test_cycle_graph_masks_are_the_cycle_vertex_sets():
+    for D in (triangle_ring(5), directed_cycle_product(2, 4),
+              four_cycle_chain(2)):
+        cycles = complete_directed_cycles(D)
+        cg = build_cycle_graph(D, cycles)
+        want = tuple(sum(1 << v for v in c.vertices) for c in cycles)
+        assert cg.masks == want
+        assert CycleGraph(cg.cycles, cg.graph).masks == want
+
+
+def _pairwise_induced_check(graph, seq):
+    """The induced-cycle check pair by pair through ``_first_bad_pair``:
+    the StitchError text it raises, or None."""
+    k = len(seq)
+    if k < 4:
+        return f"need an induced cycle of length >= 4, got {k}"
+    if len(set(seq)) != k:
+        return "index sequence repeats a cycle"
+    bad = _first_bad_pair(graph, seq, closed=True)
+    if bad is None:
+        return None
+    i, j = bad
+    if graph.has_edge(seq[i], seq[j]):
+        return f"chord between positions {i},{j}"
+    return f"positions {i},{j} not adjacent"
+
+
+@st.composite
+def graphs_with_sequences(draw):
+    """A random graph on at most 9 vertices, with a sequence of its
+    vertices: mostly a cycle of distinct ones whose consecutive pairs are
+    made edges, and random chords."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    seq = draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                        max_size=n + 1))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    if draw(st.booleans()):
+        edges += [(u, v) for u, v in zip(seq, seq[1:] + seq[:1]) if u != v]
+    return Graph(n, edges), seq
+
+
+@settings(max_examples=400, deadline=None)
+@given(graphs_with_sequences())
+@example((undirected_cycle(5), [0, 1, 2, 3, 4]))             # induced
+@example((Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
+          [0, 1, 2, 3]))                                     # a chord
+@example((Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+          [0, 1, 2, 3, 4]))                                  # not closed
+def test_induced_check_by_masks_raises_the_pairwise_text(case):
+    graph, seq = case
+    want = _pairwise_induced_check(graph, seq)
+    if want is None:
+        _verify_induced_cycle(graph, seq)
+    else:
+        with pytest.raises(StitchError) as err:
+            _verify_induced_cycle(graph, seq)
+        assert str(err.value) == want
 
 
 def test_stitch_every_induced_cycle_of_toroidal():
